@@ -3,15 +3,14 @@
 // ingest cost across its surfaces — the legacy on_message entry point
 // (one hash per message), the Session handle (hash-free), batched
 // session submits, and the sharded FairOrderingService (sessions + sink
-// emission, 1/2/4 shards) in both execution modes: inline (third arg 0)
-// and per-shard worker threads fed by SPSC rings (third arg 1, where
-// shard count buys real parallel ingest+closure on a multi-core host).
+// emission, 1/2/4 shards).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -196,14 +195,15 @@ BENCHMARK(BM_SessionIngestAndPoll)
     ->Arg(65536);
 
 void BM_SessionChunkedReplay(benchmark::State& state) {
-  // The queue-drain ingest shape (what the service's shard workers do
-  // with their SPSC rings): messages regrouped into per-session runs of
-  // up to 64, applied run by run. range(1) selects the application
-  // surface over the IDENTICAL run sequence — 0: a submit_relaxed call
-  // per message; 1: one submit_batch_relaxed per run, which hoists the
-  // re-prime check, the generation compare and the completeness-gate
-  // maintenance out of the per-message loop. The delta between the two
-  // is the pure per-call overhead the batched surface amortizes.
+  // The per-connection batch ingest shape (what the wire front-end does
+  // with each connection's decoded frames): messages regrouped into
+  // per-session runs of up to 64, applied run by run. range(1) selects
+  // the application surface over the IDENTICAL run sequence — 0: a
+  // submit_relaxed call per message; 1: one submit_batch_relaxed per
+  // run, which hoists the re-prime check, the generation compare and the
+  // completeness-gate maintenance out of the per-message loop. The delta
+  // between the two is the pure per-call overhead the batched surface
+  // amortizes.
   const auto count = static_cast<std::size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   Workbench bench(50, count, Rng(5));
@@ -268,20 +268,14 @@ BENCHMARK(BM_SessionChunkedReplay)
 void BM_ServiceIngestAndPoll(benchmark::State& state) {
   // The full service surface: burst ingest through sessions into a
   // range-sharded FairOrderingService, drained through the emission sink
-  // (no intermediate vectors). range(0) = messages, range(1) = shards,
-  // range(2) = 1 for the threaded execution engine (per-shard workers +
-  // SPSC ingest rings; the producer enqueues while the workers run the
-  // buffer insert and incremental closure in parallel — the poll at the
-  // end synchronizes, so the timed region covers full completion).
+  // (no intermediate vectors). range(0) = messages, range(1) = shards.
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::uint32_t>(state.range(1));
-  const bool threaded = state.range(2) != 0;
   Workbench bench(50, count, Rng(5));
   for (auto _ : state) {
     state.PauseTiming();
     core::ServiceConfig config;
-    config.with_p_safe(0.999).with_shards(shards).with_worker_threads(
-        threaded);
+    config.with_p_safe(0.999).with_shards(shards);
     std::optional<core::FairOrderingService> service;
     service.emplace(bench.registry, bench.population.ids(), config);
     std::vector<core::FairOrderingService::Session> sessions;
@@ -304,34 +298,29 @@ void BM_ServiceIngestAndPoll(benchmark::State& state) {
                                  std::uint32_t) { emitted += record.batch.messages.size(); });
     benchmark::DoNotOptimize(emitted);
 
-    // Teardown (worker stop + joins in threaded mode) outside the timed
-    // region, or shard scaling would be biased by per-iteration joins.
+    // Teardown outside the timed region: freeing the shard buffers would
+    // bias shard scaling.
     state.PauseTiming();
     service.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-// Real time, not producer CPU time: with worker threads the producer's
-// CPU column only covers the enqueue side, while the poll barrier makes
-// wall clock cover full completion — the honest scaling metric.
 BENCHMARK(BM_ServiceIngestAndPoll)
-    ->ArgsProduct({{4096, 16384, 65536}, {1, 2, 4}, {0, 1}})
+    ->ArgsProduct({{4096, 16384, 65536}, {1, 2, 4}})
     ->UseRealTime();
 
 void BM_ServiceSteadyStateDrain(benchmark::State& state) {
   // Steady-state service shape: interleaved sessions ingest, heartbeats,
   // frequent sink polls; multi-shard buffers stay at emission-lag depth.
-  // range(0) = messages, range(1) = shards, range(2) = threaded engine.
+  // range(0) = messages, range(1) = shards.
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::uint32_t>(state.range(1));
-  const bool threaded = state.range(2) != 0;
   Workbench bench(50, count, Rng(7));
   for (auto _ : state) {
     state.PauseTiming();
     core::ServiceConfig config;
-    config.with_p_safe(0.999).with_shards(shards).with_worker_threads(
-        threaded);
+    config.with_p_safe(0.999).with_shards(shards);
     std::optional<core::FairOrderingService> service;
     service.emplace(bench.registry, bench.population.ids(), config);
     std::vector<core::FairOrderingService::Session> sessions;
@@ -362,14 +351,14 @@ void BM_ServiceSteadyStateDrain(benchmark::State& state) {
     service->poll(now + 1_s, sink);
     benchmark::DoNotOptimize(emitted);
 
-    state.PauseTiming();  // teardown (worker joins) outside the clock
+    state.PauseTiming();  // teardown outside the clock
     service.reset();
     state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ServiceSteadyStateDrain)
-    ->ArgsProduct({{4096, 65536}, {1, 2, 4}, {0, 1}})
+    ->ArgsProduct({{4096, 65536}, {1, 2, 4}})
     ->UseRealTime();
 
 void BM_BackloggedInsertRelease(benchmark::State& state) {
@@ -447,17 +436,19 @@ BENCHMARK(BM_BackloggedInsertRelease)
 
 void BM_ServiceReconfigSwap(benchmark::State& state) {
   // Live-reconfiguration cost: one mutating re-announce followed by the
-  // full RCU epoch swap (off-thread prime to the new generation, per-
-  // shard quiesce, install). range(0) = clients; range(1): 0 = idle
-  // service (pure swap latency), 1 = swap while a producer thread keeps
-  // the ingest rings hot — the quiesce drains real traffic and the
+  // full RCU epoch swap (off-thread prime to the new generation, then the
+  // install). range(0) = clients; range(1): 0 = idle service (pure swap
+  // latency), 1 = swap while a producer thread keeps ingesting — the
   // producer_submits_per_s counter shows the ingest rate sustained
-  // across swaps (the throughput dip). Threaded engine, 2 shards.
+  // across swaps (the throughput dip). Every service call takes one
+  // ingest mutex, the wire front-end's discipline: the producer keeps
+  // running while the primer works and stalls only for the install.
+  // 2 shards.
   const auto clients = static_cast<std::size_t>(state.range(0));
   const bool under_load = state.range(1) != 0;
   Workbench bench(clients, 8192, Rng(11));
   core::ServiceConfig config;
-  config.with_p_safe(0.999).with_shards(2).with_worker_threads();
+  config.with_p_safe(0.999).with_shards(2);
   core::FairOrderingService service(bench.registry, bench.population.ids(),
                                     config);
   std::vector<core::FairOrderingService::Session> sessions;
@@ -466,6 +457,7 @@ void BM_ServiceReconfigSwap(benchmark::State& state) {
     sessions.push_back(service.open_session(c));
   }
 
+  std::mutex ingest_mutex;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> produced{0};
   std::thread producer;
@@ -476,6 +468,7 @@ void BM_ServiceReconfigSwap(benchmark::State& state) {
       while (!stop.load(std::memory_order_relaxed)) {
         const core::Message& m = bench.messages[k % bench.messages.size()];
         now += 2e-7;
+        std::unique_lock<std::mutex> lock(ingest_mutex);
         sessions[m.client.value()].submit(TimePoint(now - 1e-4),
                                           MessageId(k), TimePoint(now));
         produced.fetch_add(1, std::memory_order_relaxed);
@@ -496,12 +489,11 @@ void BM_ServiceReconfigSwap(benchmark::State& state) {
                        });
           benchmark::DoNotOptimize(drained);
         }
+        lock.unlock();
         if (k % 32 == 0) {
-          // Pace the producer: a saturating spin-loop starves the shard
-          // workers of CPU on small hosts and measures scheduler
-          // contention, not swap latency — and an ingest rate near the
-          // drain rate lets one stalled swap tip the buffers into the
-          // quadratic-backlog regime.
+          // Pace the producer: a saturating loop starves the primer of
+          // CPU on small hosts and measures scheduler contention, not
+          // swap latency.
           std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
       }
@@ -511,9 +503,22 @@ void BM_ServiceReconfigSwap(benchmark::State& state) {
   double sigma = 20e-6;
   for (auto _ : state) {
     sigma = sigma == 20e-6 ? 25e-6 : 20e-6;  // a real change every swap
-    bench.registry.announce(ClientId(0),
-                            std::make_unique<stats::Gaussian>(0.0, sigma));
-    service.reconfigure();
+    {
+      std::lock_guard<std::mutex> lock(ingest_mutex);
+      bench.registry.announce(ClientId(0),
+                              std::make_unique<stats::Gaussian>(0.0, sigma));
+    }
+    service.request_reconfig();
+    // Install opportunistically, as the front-end's pump does: the lock
+    // is held only for the swap itself, never for the prime.
+    while (true) {
+      {
+        std::lock_guard<std::mutex> lock(ingest_mutex);
+        if (!service.reconfig_pending()) break;
+        service.try_install_reconfig();
+      }
+      std::this_thread::yield();
+    }
   }
   stop.store(true, std::memory_order_relaxed);
   if (producer.joinable()) producer.join();
@@ -542,15 +547,13 @@ BENCHMARK(BM_ServiceReconfigSwap)
 int main(int argc, char** argv) {
   // Provenance for the tracked BENCH_throughput.json: the library's build
   // type (the stock "library_build_type" context reflects how
-  // libbenchmark itself was compiled, not this code) and the thread/shard
-  // grid the service benchmarks sweep.
+  // libbenchmark itself was compiled, not this code) and the shard grid
+  // the service benchmarks sweep.
   benchmark::AddCustomContext("tommy_build_type", TOMMY_BUILD_TYPE);
   benchmark::AddCustomContext(
       "hardware_threads",
       std::to_string(std::thread::hardware_concurrency()));
   benchmark::AddCustomContext("service_shard_configs", "1,2,4");
-  benchmark::AddCustomContext("service_worker_modes",
-                              "0=inline,1=per-shard worker threads");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

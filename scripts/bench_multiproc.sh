@@ -27,11 +27,10 @@
 #                  bench_throughput_json.sh)
 #   MP_CLIENTS     client process count        (default 4)
 #   MP_MESSAGES    messages per client         (default 50000)
-#   MP_THREADS     1 = threaded service        (default 0)
 #   MP_SHARDS      shard count                 (default 1)
-#   MP_POLLERS     epoll poller threads        (default 2; a single
-#                  sequential service serializes ingest behind one lock,
-#                  so more pollers only add contention)
+#   MP_POLLERS     epoll poller threads        (default 2; the service
+#                  serializes ingest behind one lock, so more pollers
+#                  only add contention)
 #   MP_EPOLL_MESSAGES  per-connection messages for the C=100 epoll row
 #                      (default 2000; the C=1000 row scales it by 1/10)
 #   BENCH_SMOKE    1 = small sizes for CI      (2 clients x 5000 msgs;
@@ -46,7 +45,6 @@ BUILD_DIR="${BUILD_DIR:-$ROOT/build}"
 TARGET="${1:-$ROOT/BENCH_throughput.json}"
 CLIENTS="${MP_CLIENTS:-4}"
 MESSAGES="${MP_MESSAGES:-50000}"
-THREADS="${MP_THREADS:-0}"
 SHARDS="${MP_SHARDS:-1}"
 POLLERS="${MP_POLLERS:-2}"
 EPOLL_MESSAGES="${MP_EPOLL_MESSAGES:-2000}"
@@ -101,7 +99,6 @@ trap '[[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null; rm -f "$SOCK" "$
 EXPECT=$((CLIENTS * MESSAGES))
 SERVE_ARGS=(serve --unix "$SOCK" --clients "$CLIENTS"
             --expect-submits "$EXPECT" --shards "$SHARDS" --json "$OUT")
-if [[ "$THREADS" == "1" ]]; then SERVE_ARGS+=(--threads); fi
 
 "$BIN" "${SERVE_ARGS[@]}" &
 SERVER_PID=$!

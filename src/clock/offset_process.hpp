@@ -5,8 +5,9 @@
 // (temperature-like) excursions — and are exercised by the learning
 // experiments.
 //
-// Sign convention (see DESIGN.md): θ converts a local stamp to sequencer
-// time, T* = T + θ. A client clock therefore *reads* local = true − θ.
+// Sign convention (see docs/architecture.md, "Conventions and paper
+// errata"): θ converts a local stamp to sequencer time, T* = T + θ. A
+// client clock therefore *reads* local = true − θ.
 #pragma once
 
 #include <memory>

@@ -18,8 +18,8 @@ struct TrueTimeConfig {
   double k_sigma{3.0};
   /// Center intervals on the mean-corrected stamp T + μ. The paper's one
   /// sentence writes [T−3σ, T+3σ]; a real TrueTime would center on its
-  /// best estimate, so correction defaults on (see DESIGN.md). Disable to
-  /// get the literal form.
+  /// best estimate, so correction defaults on (see docs/architecture.md,
+  /// "Conventions and paper errata"). Disable to get the literal form.
   bool mean_correct{true};
 };
 

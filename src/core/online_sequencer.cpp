@@ -46,12 +46,11 @@ OnlineSequencer::OnlineSequencer(const ClientRegistry& registry,
 
 OnlineSequencer::OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
                                  std::vector<ClientId> expected_clients,
-                                 OnlineConfig config, bool pinned)
+                                 OnlineConfig config)
     : engine_ptr_(require_engine(std::move(engine))),
       engine_(engine_ptr_.get()),
       registry_(engine_ptr_->registry()),
       config_(config),
-      pinned_(pinned),
       expected_clients_(std::move(expected_clients)) {
   // Every sequencer sharing an engine must agree on (threshold, p_safe):
   // a mismatch would not be wrong, but each caller would re-prime the
@@ -59,12 +58,6 @@ OnlineSequencer::OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
   // slowdown. Catch it at construction instead.
   TOMMY_EXPECTS(config_.reference_mode || !engine_->fast_primed() ||
                 engine_->fast_params_match(config_.threshold, config_.p_safe));
-  // Pinned mode relies on the engine being a finished, immutable epoch:
-  // prefilled tables, matching parameters, no lazy fills ever.
-  TOMMY_EXPECTS(!pinned_ ||
-                (!config_.reference_mode && engine_->fast_prefilled() &&
-                 engine_->fast_params_match(config_.threshold,
-                                            config_.p_safe)));
   init_expected_clients();
 }
 
@@ -89,6 +82,7 @@ void OnlineSequencer::init_expected_clients() {
   }
   if (!config_.reference_mode) {
     engine_->prime(config_.threshold, config_.p_safe);
+    epoch_generation_ = engine_->fast_generation();
   }
   unheard_count_ = clients_.size();
   heap_.reserve(clients_.size());
@@ -130,10 +124,6 @@ void OnlineSequencer::register_client(ClientId client) {
   session_table_.push_back(session);
 }
 
-std::uint64_t OnlineSequencer::current_generation() const {
-  return pinned_ ? engine_->fast_generation() : registry_.generation();
-}
-
 std::uint32_t OnlineSequencer::slot_of(ClientId client) const {
   // Unknown-to-the-registry clients die inside index_of; clients the
   // registry knows but this sequencer does not expect die here. Both are
@@ -145,7 +135,7 @@ std::uint32_t OnlineSequencer::slot_of(ClientId client) const {
 }
 
 void OnlineSequencer::refresh_session(Session& session) const {
-  session.generation_ = current_generation();
+  session.generation_ = registry_.generation();
   if (config_.reference_mode) return;  // no cached constants to refresh
   session.mean_offset_ = engine_->fast_mean(session.cindex_);
   session.safe_offset_ = engine_->fast_safe_offset(session.cindex_);
@@ -154,7 +144,7 @@ void OnlineSequencer::refresh_session(Session& session) const {
 OnlineSequencer::Session OnlineSequencer::open_session(ClientId client) {
   maybe_reprime();  // a fresh handle starts from current tables
   Session session = session_table_[slot_of(client)];
-  if (session.generation_ != current_generation()) {
+  if (session.generation_ != registry_.generation()) {
     refresh_session(session);
   }
   return session;
@@ -223,7 +213,7 @@ void OnlineSequencer::session_submit(Session& session, TimePoint stamp,
   }
   last_arrival_ = std::max(last_arrival_, now);
   if (!config_.reference_mode &&
-      session.generation_ != current_generation()) {
+      session.generation_ != registry_.generation()) {
     refresh_session(session);
   }
 
@@ -253,7 +243,7 @@ void OnlineSequencer::session_submit_batch(Session& session,
   if (items.empty()) return;
   maybe_reprime();
   if (!config_.reference_mode &&
-      session.generation_ != current_generation()) {
+      session.generation_ != registry_.generation()) {
     refresh_session(session);
   }
 
@@ -325,10 +315,12 @@ void OnlineSequencer::maybe_reprime() {
     if (registry_.generation() != ref_generation_) resort_reference_buffer();
     return;
   }
-  if (pinned_) return;  // epoch-pinned: announces wait for rebind_engine
-  if (engine_->fast_ready(config_.threshold, config_.p_safe)) return;
-  engine_->prime(config_.threshold, config_.p_safe);
-  refresh_epoch_state();
+  if (!engine_->fast_ready(config_.threshold, config_.p_safe)) {
+    engine_->prime(config_.threshold, config_.p_safe);
+  }
+  // A shared engine may have been re-primed by another shard first; this
+  // sequencer's cached constants are still stale until it refreshes.
+  if (epoch_generation_ != engine_->fast_generation()) refresh_epoch_state();
 }
 
 void OnlineSequencer::refresh_epoch_state() {
@@ -339,6 +331,7 @@ void OnlineSequencer::refresh_epoch_state() {
   // leave-it-unsorted behaviour disabled those exits for the rest of the
   // epoch). Sessions refresh themselves lazily off the generation
   // counter.
+  epoch_generation_ = engine_->fast_generation();
   std::vector<Buffered> entries = fast_buffer_.extract_all();
   for (Buffered& entry : entries) refresh_entry(entry);
   std::sort(entries.begin(), entries.end(), BufferedLess{});
@@ -378,13 +371,10 @@ void OnlineSequencer::rebind_engine(
   TOMMY_EXPECTS(engine != nullptr);
   TOMMY_EXPECTS(&engine->registry() == &registry_);
   if (!config_.reference_mode) {
-    // The new epoch must be a finished table set for our parameters; in
-    // pinned mode it must additionally be prefilled (workers read it
-    // lock-free).
+    // The new epoch must be a finished table set for our parameters.
     TOMMY_EXPECTS(engine->fast_primed() &&
                   engine->fast_params_match(config_.threshold,
                                             config_.p_safe));
-    TOMMY_EXPECTS(!pinned_ || engine->fast_prefilled());
   }
   engine_ptr_ = std::move(engine);
   engine_ = engine_ptr_.get();

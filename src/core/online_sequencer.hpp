@@ -153,7 +153,7 @@ class OnlineSequencer {
  public:
   /// Per-connection ingest handle; see the file header. Cheap to copy —
   /// it is a pointer plus cached per-client constants. Valid as long as
-  /// the sequencer it came from is alive (the sequencer is pinned in
+  /// the sequencer it came from is alive (the sequencer is fixed in
   /// memory: it is neither copyable nor movable). A handle survives
   /// registry re-announces of its client: the cached offsets refresh at
   /// the next call via the registry generation counter.
@@ -180,8 +180,9 @@ class OnlineSequencer {
     /// arrival check: `now` may be out of order w.r.t. OTHER sessions'
     /// ingests (the sequencer tracks max arrival instead of asserting
     /// monotonicity). For consumers that drain several per-session FIFO
-    /// queues in arbitrary order — the FairOrderingService shard workers
-    /// do exactly this. Emissions are unaffected: between two polls the
+    /// queues in arbitrary order — FairOrderingService::Session::
+    /// submit_batch, fed by the wire front-end's per-connection batches,
+    /// does exactly this. Emissions are unaffected: between two polls the
     /// buffer contents, completeness state and violation counts are
     /// ingest-order-independent (the buffer orders by corrected stamp,
     /// gate state is max-merged, violations compare each entry against
@@ -217,17 +218,9 @@ class OnlineSequencer {
   /// registry), so several sequencers can share one primed engine's flat
   /// tables and Δθ caches — the FairOrderingService path.
   /// `config.preceding` is ignored; the engine's own configuration rules.
-  ///
-  /// With `pinned` the sequencer treats the engine as an immutable epoch:
-  /// it never re-primes, and sessions revalidate against the engine's
-  /// fast_generation() instead of the live registry generation, so a
-  /// concurrent registry announce cannot perturb a running shard. The
-  /// engine must be prefill-primed for (config.threshold, config.p_safe);
-  /// moving to a newer epoch is an explicit rebind_engine() call. This is
-  /// the worker-thread mode of the FairOrderingService.
   OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
                   std::vector<ClientId> expected_clients,
-                  OnlineConfig config = {}, bool pinned = false);
+                  OnlineConfig config = {});
 
   // Sessions cache a pointer to the sequencer; pin it in memory.
   OnlineSequencer(const OnlineSequencer&) = delete;
@@ -295,9 +288,7 @@ class OnlineSequencer {
   /// entries, client frontiers, the gate heap — exactly as a re-prime
   /// would. Sessions refresh themselves lazily at their next call via the
   /// generation compare. The caller must guarantee no concurrent use of
-  /// this sequencer (in the threaded service the owning worker runs this
-  /// between drains); in pinned mode the new engine must be
-  /// prefill-primed for this sequencer's (threshold, p_safe).
+  /// this sequencer.
   void rebind_engine(std::shared_ptr<const PrecedingEngine> engine,
                      std::span<const ClientId> new_clients);
 
@@ -362,10 +353,6 @@ class OnlineSequencer {
   /// legacy entry points (registry id → dense index, then a flat array).
   /// Precondition: `client` is an expected client.
   [[nodiscard]] std::uint32_t slot_of(ClientId client) const;
-  /// The generation sessions revalidate against: the live registry
-  /// generation normally, the engine's build generation when pinned (so
-  /// announces only take effect at an explicit rebind).
-  [[nodiscard]] std::uint64_t current_generation() const;
   /// Re-reads a session's cached per-client offsets from the engine's
   /// flat tables (fast mode) and stamps it with the current registry
   /// generation.
@@ -395,6 +382,9 @@ class OnlineSequencer {
   /// boundary: a registry generation change triggers
   /// resort_reference_buffer(), so both modes re-key and re-order at the
   /// first entry-point call after an announce and stay bit-identical.
+  /// The refresh keys off the engine generation this sequencer last
+  /// refreshed at, not off the engine's readiness: sequencers sharing an
+  /// engine each refresh once, whichever of them re-primed it.
   void maybe_reprime();
   /// The shared tail of maybe_reprime() and rebind_engine(): refreshes
   /// every cached constant derived from the engine tables (buffer —
@@ -449,8 +439,6 @@ class OnlineSequencer {
   const PrecedingEngine* engine_;
   const ClientRegistry& registry_;
   OnlineConfig config_;
-  /// Epoch-pinned mode (see the shared-engine constructor).
-  bool pinned_{false};
   std::vector<ClientId> expected_clients_;
   std::vector<ClientState> clients_;  // parallel to expected_clients_
   /// Registry dense index → completeness-gate slot (kNoSlot = not an
@@ -471,6 +459,9 @@ class OnlineSequencer {
   /// Registry generation buffer_ is currently sorted for (reference
   /// mode): maybe_reprime re-sorts when it trails the live generation.
   std::uint64_t ref_generation_{0};
+  /// Engine fast_generation() the cached entry constants were computed
+  /// at (fast mode): maybe_reprime refreshes when it trails the engine.
+  std::uint64_t epoch_generation_{0};
   Rank next_rank_{0};
   std::vector<Buffered> last_emitted_;  // for violation detection
   std::size_t fairness_violations_{0};

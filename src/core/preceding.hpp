@@ -5,8 +5,8 @@
 //  * Gaussian closed form (§3.2): when both clients' offsets are Gaussian,
 //      p = Φ((T_j + μ_j − T_i − μ_i) / sqrt(σ_i² + σ_j²)).
 //    (The paper's inline formula carries a sign typo on the means; see
-//    DESIGN.md "Known paper errata". This form matches the paper's own
-//    model T* = T + θ and its Appendix A.)
+//    docs/architecture.md "Conventions and paper errata". This form
+//    matches the paper's own model T* = T + θ and its Appendix A.)
 //  * Numeric path (§3.3): build the density of Δθ = θ_j − θ_i by FFT
 //    convolution of f_{θj} with the reflection of f_{θi}, then
 //      p = P(Δθ > T_i − T_j) = 1 − F_Δθ(T_i − T_j).
@@ -131,11 +131,9 @@ class PrecedingEngine {
   /// first query) and the per-row maxima are tightened to the exact
   /// values. After a prefilled prime the engine is IMMUTABLE under the
   /// whole fast_* surface — no lazy slot writes, no density-cache
-  /// insertions — which is what lets N shard worker threads read one
-  /// shared engine with no synchronization (see docs/architecture.md,
-  /// "Threading model"). The default lazy fill remains for
-  /// single-threaded use, where first-query filling spreads the O(n²)
-  /// convolution cost over the warmup instead of the constructor.
+  /// insertions — so a caller can pay the whole O(n²) convolution cost
+  /// before traffic starts. The default lazy fill spreads that cost over
+  /// the warmup instead, one pair at first query.
   void prime(double threshold, double p_safe,
              bool prefill_pairs = false) const;
 
@@ -143,21 +141,14 @@ class PrecedingEngine {
   /// not announced since they were built.
   [[nodiscard]] bool fast_ready(double threshold, double p_safe) const;
 
-  /// True when the current tables were built with `prefill_pairs` (every
-  /// gap slot filled; fast_* queries mutate nothing).
-  [[nodiscard]] bool fast_prefilled() const {
-    return fast_.valid && fast_.prefilled;
-  }
-
   /// True when prime() has run at all (any parameters). Lets sharing
   /// callers detect a parameter mismatch before thrashing the tables.
   [[nodiscard]] bool fast_primed() const { return fast_.valid; }
 
   /// Registry generation the current fast tables were built at (0 when
-  /// never primed) — the epoch identity of a primed engine. Sessions
-  /// pinned to a shared prefilled engine revalidate against this instead
-  /// of the live registry generation, so a concurrent announce cannot
-  /// perturb them until an explicit rebind installs a fresher engine.
+  /// never primed) — the epoch identity of a primed engine. The service's
+  /// off-thread primer compares it with the live registry generation to
+  /// detect a prime torn by a concurrent announce.
   [[nodiscard]] std::uint64_t fast_generation() const {
     return fast_.generation;
   }

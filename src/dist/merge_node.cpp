@@ -323,7 +323,7 @@ void MergeNode::watchdog_loop() {
       if (peer.connected && peer.heard && !peer.stalled
           && now - peer.last_heard > config_.staleness_budget) {
         // Surface only: the peer keeps its last announced frontier and
-        // the gate stays pinned there — stalling is never license to
+        // the gate stays held there — stalling is never license to
         // speculate past an unheard frontier.
         peer.stalled = true;
       }

@@ -101,7 +101,7 @@ enum class MergePeerState : std::uint8_t {
   /// Stream up, heard within the staleness budget.
   kLive,
   /// Stream up but silent past the staleness budget (watchdog verdict;
-  /// gate pinned at the peer's last frontier until it speaks).
+  /// gate held at the peer's last frontier until it speaks).
   kPeerStalled,
   /// Stream gone or never dialed (gate back at −infinity).
   kDisconnected,
@@ -126,7 +126,7 @@ struct MergePeerStats {
   /// Typed liveness verdict (kPeerStalled == `stalled` below).
   MergePeerState state{MergePeerState::kDisconnected};
   /// Watchdog verdict: connected but silent past the staleness budget
-  /// (the gate is pinned at this peer's last frontier and nothing will
+  /// (the gate is held at this peer's last frontier and nothing will
   /// move until it speaks).
   bool stalled{false};
   /// Seconds since the last frame from this peer (+infinity if it has

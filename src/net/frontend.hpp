@@ -23,11 +23,10 @@
 //    Heartbeat frames into the service session, batching runs of submits
 //    through the relaxed batch path. Every protocol violation is a typed
 //    WireError, never a crash.
-//  * `FrameFrontend` owns one reader thread per connection (the thread is
-//    the session's single SPSC producer in threaded mode — exactly the
-//    shape the ROADMAP called for) plus the outbound writer path:
-//    `pump(now)` polls the service and broadcasts each emitted batch as
-//    one BatchEmission frame to every live connection.
+//  * `FrameFrontend` owns one reader per connection (a thread, or a
+//    poller callback under TransportMode::kEventLoop) plus the outbound
+//    writer path: `pump(now)` polls the service and broadcasts each
+//    emitted batch as one BatchEmission frame to every live connection.
 //
 // Arrival stamping: wire messages carry the client's local stamp but not
 // the sequencer-clock arrival (`now`) the online machinery needs; the
@@ -36,11 +35,10 @@
 // tests and simulations install a deterministic function of the message
 // so a frame-driven run is bit-identical to a direct-drive run.
 //
-// Concurrency: with a threaded service, readers are lock-free producers
-// onto their session rings and need no front-end serialization. With a
-// sequential service, the front-end serializes all ingest and polls
-// behind one mutex (the readers still take the blocking reads off the
-// caller's thread; they just apply one at a time).
+// Concurrency: the service runs every call inline, so the front-end
+// serializes all ingest, polls and reconfiguration installs behind one
+// ingest mutex (the readers still take the blocking reads and the frame
+// decode off the caller's thread; they just apply one at a time).
 #pragma once
 
 #include <atomic>
@@ -178,10 +176,10 @@ enum class WireError : std::uint8_t {
   kUnknownClient,
   /// A frame named a different client than the handshake bound.
   kClientMismatch,
-  /// Historical: an announcement that would change a threaded service's
-  /// primed registry used to poison the connection. Live reconfiguration
-  /// made that path an epoch swap instead, so this is no longer produced
-  /// by the handshake; it remains for callers that stored it.
+  /// Historical: an announcement that would change a primed registry
+  /// used to poison the connection. Live reconfiguration made that path
+  /// an epoch swap instead, so this is no longer produced by the
+  /// handshake; it remains for callers that stored it.
   kRegistryFrozen,
   /// Client sent a sequencer→client frame (BatchEmission, ReconfigPending
   /// or HandshakeAck).
@@ -292,9 +290,8 @@ struct PumpOptions {
   /// instead of poll.
   bool flush{false};
   /// When non-null, receives the service's next_safe_time AFTER the
-  /// drain, read under the SAME sequential-mode ingest lock acquisition
-  /// as the poll itself (what a shard node's SafeTimeAnnounce must
-  /// carry).
+  /// drain, read under the SAME ingest lock acquisition as the poll
+  /// itself (what a shard node's SafeTimeAnnounce must carry).
   TimePoint* next_safe_after{nullptr};
 };
 
@@ -345,12 +342,10 @@ struct FrontendTotals {
 class Connection {
  public:
   /// `ingest_mutex` serializes session calls and registry updates against
-  /// other connections and polls; pass nullptr when the service is
-  /// threaded (sessions are their own single-producer lanes) or when only
-  /// one thread drives everything.
+  /// other connections and polls; it must outlive the connection.
   Connection(core::ClientRegistry& registry,
              core::FairOrderingService& service, FrontendConfig config,
-             std::mutex* ingest_mutex = nullptr);
+             std::mutex& ingest_mutex);
 
   /// Feeds raw stream bytes; decodes and applies every frame that
   /// completes. Returns false once the connection is failed (the caller
@@ -359,14 +354,12 @@ class Connection {
 
   /// Outcome of one nonblocking drive step (the event-loop ingest path).
   enum class DriveStatus : std::uint8_t {
-    /// Everything decoded so far has been applied (or enqueued, in
-    /// threaded mode) — keep reading.
+    /// Everything decoded so far has been applied — keep reading.
     kReady,
-    /// The service could not absorb more right now (session ring full,
-    /// or the sequential ingest lock contended): STOP READING this
-    /// stream and retry drive() shortly. This is the backpressure
-    /// signal — an unread socket fills its kernel buffers and TCP flow
-    /// control reaches the client.
+    /// The service could not absorb more right now (the ingest lock
+    /// stayed contended): STOP READING this stream and retry drive()
+    /// shortly. This is the backpressure signal — an unread socket fills
+    /// its kernel buffers and TCP flow control reaches the client.
     kStalled,
     /// The connection failed (protocol or decode error) — tear it down.
     kFailed,
@@ -443,12 +436,11 @@ class Connection {
   };
 
   bool dispatch(WireMessage&& message);
-  /// Nonblocking dispatch: never blocks on the session ring or the
-  /// sequential ingest lock (the handshake path excepted — rare,
-  /// bounded).
+  /// Nonblocking dispatch: never blocks on the ingest lock (the
+  /// handshake path excepted — rare, bounded).
   TryOutcome try_dispatch(const WireMessage& message);
-  /// Nonblocking apply_pending: applies whatever prefix the service
-  /// accepts; true when pending_ fully drained.
+  /// Nonblocking apply_pending: applies pending_ if the ingest lock
+  /// comes free within a bounded spin; true when pending_ is empty.
   bool try_apply_pending();
   bool handle_announcement(const DistributionAnnouncement& announcement);
   void queue_outbound(const WireMessage& message);
@@ -460,7 +452,7 @@ class Connection {
   core::ClientRegistry& registry_;
   core::FairOrderingService& service_;
   FrontendConfig config_;
-  std::mutex* ingest_mutex_;
+  std::mutex& ingest_mutex_;
 
   FrameDecoder decoder_;
   core::FairOrderingService::Session session_;
@@ -518,19 +510,18 @@ class FrameFrontend {
   std::uint64_t add_connection(std::shared_ptr<ByteStream> stream);
 
   /// THE drain entry point: polls (or, with options.flush, flushes) the
-  /// service at `now` under the sequential-mode ingest lock, with the
-  /// staged-epoch install nudge. Null options.sink broadcasts every
-  /// emitted batch as an encoded BatchEmission frame to every connection
-  /// whose writes still succeed (reaping dead peers first, so a removed
-  /// peer never receives or stalls a broadcast); a non-null sink
-  /// consumes emissions in-process instead (no broadcast, no reap) —
-  /// race-free against live readers, which a direct service_.poll() is
-  /// NOT for sequential services. options.next_safe_after, when set,
-  /// receives the post-drain frontier read under the SAME lock
-  /// acquisition as the poll (no ingest can interleave — what a shard
-  /// node's SafeTimeAnnounce must carry). Returns the number of batches
-  /// emitted. One pump/flush at a time (callers serialize; the
-  /// service's own poll contract).
+  /// service at `now` under the ingest lock, with the staged-epoch
+  /// install nudge. Null options.sink broadcasts every emitted batch as
+  /// an encoded BatchEmission frame to every connection whose writes
+  /// still succeed (reaping dead peers first, so a removed peer never
+  /// receives or stalls a broadcast); a non-null sink consumes emissions
+  /// in-process instead (no broadcast, no reap) — race-free against live
+  /// readers, which a direct service_.poll() is NOT.
+  /// options.next_safe_after, when set, receives the post-drain frontier
+  /// read under the SAME lock acquisition as the poll (no ingest can
+  /// interleave — what a shard node's SafeTimeAnnounce must carry).
+  /// Returns the number of batches emitted. One pump/flush at a time
+  /// (callers serialize; the service's own poll contract).
   std::size_t pump(TimePoint now, const PumpOptions& options);
 
   /// Broadcast poll: pump(now, {}). (Historical name, kept stable.)
@@ -593,8 +584,8 @@ class FrameFrontend {
   /// Drives any pending reconfiguration to completion (blocking —
   /// joins the primer) under the same serialization as the wire
   /// handlers. The safe way to force an epoch swap from outside while
-  /// reader threads are live; a direct service_.reconfigure() is only
-  /// safe against a threaded service.
+  /// reader threads are live; a direct service_.reconfigure() would race
+  /// them.
   void reconfigure();
 
   /// Removes every dead connection: reader exited AND (it failed, its
@@ -622,8 +613,7 @@ class FrameFrontend {
   /// Joins every reader thread without removing anything. Callers
   /// arrange EOF first (peers close_write / streams shut down), otherwise
   /// this blocks; after it returns, everything the peers sent has been
-  /// applied to the service (threaded mode: enqueued — a subsequent
-  /// poll/quiesce drains it).
+  /// applied to the service.
   void join_readers();
 
   /// Live connections: registered, and not merely awaiting reap. (A
@@ -689,7 +679,7 @@ class FrameFrontend {
 
     Conn(std::shared_ptr<ByteStream> s, core::ClientRegistry& registry,
          core::FairOrderingService& service, FrontendConfig config,
-         std::mutex* ingest_mutex)
+         std::mutex& ingest_mutex)
         : stream(std::move(s)),
           machine(registry, service, std::move(config), ingest_mutex) {}
   };
@@ -710,10 +700,10 @@ class FrameFrontend {
   std::size_t drain(TimePoint now, bool flush_all,
                     TimePoint* next_safe_after = nullptr);
   /// The locked core shared by pump/pump_flush (broadcast sink) and
-  /// pump_into/pump_flush_into (caller sink): sequential-mode ingest
-  /// lock, staged-epoch install nudge, then one service drain. When
-  /// `next_safe_after` is non-null the post-drain next_safe_time is
-  /// read before the lock drops.
+  /// pump_into/pump_flush_into (caller sink): ingest lock, staged-epoch
+  /// install nudge, then one service drain. When `next_safe_after` is
+  /// non-null the post-drain next_safe_time is read before the lock
+  /// drops.
   std::size_t drain_locked(TimePoint now, bool flush_all,
                            core::EmissionSink& sink,
                            TimePoint* next_safe_after = nullptr);
@@ -763,7 +753,7 @@ class FrameFrontend {
   core::FairOrderingService& service_;
   FrontendConfig config_;
 
-  /// Serializes sequential-mode ingest/polls (unused when threaded).
+  /// Serializes every connection's ingest against polls and installs.
   std::mutex ingest_mutex_;
   mutable std::mutex conns_mutex_;
   /// Registered connections by id. shared_ptr: broadcast and reap hold

@@ -15,10 +15,9 @@
 //     boundary mid-stream.
 //
 // Each shape is proven on the bare sequencer (fast vs reference) and then
-// across the service engine configs: sequential multi-shard fast vs
-// reference, threaded workers vs sequential (fast), and kGlobalMerge
-// sequential vs threaded — covering sequential / sharded / threaded /
-// global-merge with the new structure everywhere.
+// across the service configs: multi-shard fast vs reference under both
+// the shard-local drain and kGlobalMerge — covering sharded and
+// global-merge execution with the new structure everywhere.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -287,39 +286,33 @@ TEST(AdversarialEquivalence, ServiceConfigsAllPatterns) {
        {Pattern::kReverseCorrected, Pattern::kInterleavedBursts,
         Pattern::kMidStreamReprime}) {
     SCOPED_TRACE(to_string(pattern));
-    auto run = [&](bool reference, bool threaded, DrainPolicy policy) {
+    auto run = [&](bool reference, DrainPolicy policy) {
       Scenario s = make_scenario(pattern, 29u, 6, 1200);
       ServiceConfig config;
       config.with_p_safe(0.99).with_shards(kShards);
       config.online.reference_mode = reference;
-      config.with_worker_threads(threaded).with_drain_policy(policy);
+      config.with_drain_policy(policy);
       FairOrderingService service(s.registry, s.population.ids(), config);
       return drive_service(service, s);
     };
 
-    // Sequential sharded: fast vs reference, bit-identical per shard.
-    const auto seq_fast = run(false, false, DrainPolicy::kShardLocal);
-    const auto seq_ref = run(true, false, DrainPolicy::kShardLocal);
+    // Sharded: fast vs reference, bit-identical per shard.
+    const auto seq_fast = run(false, DrainPolicy::kShardLocal);
+    const auto seq_ref = run(true, DrainPolicy::kShardLocal);
     EXPECT_FALSE(seq_fast.empty());
     expect_identical_per_shard(seq_fast, seq_ref, kShards,
-                               "sequential fast-vs-reference");
+                               "sharded fast-vs-reference");
 
-    // Threaded workers (fast only — reference refuses threads): must
-    // match the sequential fast run per shard.
-    const auto thr_fast = run(false, true, DrainPolicy::kShardLocal);
-    expect_identical_per_shard(thr_fast, seq_fast, kShards,
-                               "threaded-vs-sequential");
-
-    // Global merge: sequential and threaded must produce the identical
-    // total stream (delivery order included).
-    const auto merge_seq = run(false, false, DrainPolicy::kGlobalMerge);
-    const auto merge_thr = run(false, true, DrainPolicy::kGlobalMerge);
-    ASSERT_EQ(merge_seq.size(), merge_thr.size());
+    // Global merge: fast and reference must produce the identical total
+    // stream (delivery order included).
+    const auto merge_seq = run(false, DrainPolicy::kGlobalMerge);
+    const auto merge_ref = run(true, DrainPolicy::kGlobalMerge);
+    ASSERT_EQ(merge_seq.size(), merge_ref.size());
     EXPECT_FALSE(merge_seq.empty());
     for (std::size_t r = 0; r < merge_seq.size(); ++r) {
-      EXPECT_EQ(merge_seq[r].shard, merge_thr[r].shard);
+      EXPECT_EQ(merge_seq[r].shard, merge_ref[r].shard);
       EXPECT_EQ(merge_seq[r].record.batch.rank,
-                merge_thr[r].record.batch.rank);
+                merge_ref[r].record.batch.rank);
     }
     // And per shard it is the same record set the shard-local drain
     // produced (rank order within a shard can differ across policies —

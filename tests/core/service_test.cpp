@@ -548,12 +548,12 @@ TEST(FairOrderingServiceTest, TryOpenSessionReportsUnknownClients) {
 TEST(FairOrderingServiceTest, MovedRegistryKeepsSessionsOpenAndReconfigures) {
   ClientRegistry registry = make_registry(2);
   ServiceConfig config;
-  config.with_worker_threads().with_p_safe(0.99);
+  config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), config);
   EXPECT_EQ(service.primed_generation(), registry.generation());
   EXPECT_FALSE(service.reconfig_pending());
 
-  // A changed re-announce no longer freezes the threaded service: known
+  // A changed re-announce does not freeze the service: known
   // clients keep opening sessions against the live epoch while the
   // reconfig is outstanding.
   registry.announce(ClientId(0),
@@ -572,6 +572,52 @@ TEST(FairOrderingServiceTest, MovedRegistryKeepsSessionsOpenAndReconfigures) {
   EXPECT_EQ(service.primed_generation(), moved);
   EXPECT_FALSE(service.reconfig_pending());
   EXPECT_GE(service.epoch(), 1u);
+}
+
+TEST(FairOrderingServiceTest, AnnounceRefreshesEveryShardSharingTheEngine) {
+  // A re-announce moves a client on shard 1, but shard 0 is the first to
+  // touch the shared engine afterwards and re-primes it. Shard 1 must
+  // still re-key its buffered entries before the install, exactly as the
+  // reference path re-sorts per shard.
+  auto run = [](bool reference) {
+    ClientRegistry registry = make_registry(4, 1e-4);
+    ServiceConfig config;
+    config.with_shards(2).with_p_safe(0.99);
+    config.online.reference_mode = reference;
+    FairOrderingService service(registry, ids(4), config);
+    std::vector<FairOrderingService::Session> sessions;
+    for (std::uint32_t c = 0; c < 4; ++c) {
+      sessions.push_back(service.open_session(ClientId(c)));
+    }
+    double now = 1.0;
+    std::uint64_t id = 0;
+    for (int k = 0; k < 20; ++k) {  // clients 2 and 3 live on shard 1
+      now += 1e-4;
+      sessions[2 + k % 2].submit(TimePoint(now), MessageId(id++),
+                                 TimePoint(now + 1e-3));
+    }
+    // Client 3's clock turns out to run 5 ms ahead of client 2's.
+    registry.announce(ClientId(3),
+                      std::make_unique<stats::Gaussian>(5e-3, 1e-4));
+    sessions[0].submit(TimePoint(now), MessageId(id++),
+                       TimePoint(now + 1e-3));  // shard 0 re-primes first
+    for (int k = 0; k < 6; ++k) {
+      now += 1e-4;
+      sessions[2 + k % 2].submit(TimePoint(now), MessageId(id++),
+                                 TimePoint(now + 1.1e-3));
+    }
+    std::vector<std::pair<std::uint32_t, std::vector<MessageId>>> out;
+    service.flush(TimePoint(10.0), [&out](EmissionRecord&& record,
+                                          std::uint32_t shard) {
+      std::vector<MessageId> batch;
+      for (const Message& m : record.batch.messages) batch.push_back(m.id);
+      out.emplace_back(shard, std::move(batch));
+    });
+    return out;
+  };
+  const auto fast = run(false);
+  ASSERT_FALSE(fast.empty());
+  EXPECT_EQ(fast, run(true));
 }
 
 TEST(ClientRegistryTest, IdenticalSummaryReannounceKeepsGenerationStable) {

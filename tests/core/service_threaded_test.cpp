@@ -1,20 +1,19 @@
-// Threaded FairOrderingService: the worker-thread execution engine must
-// be an invisible optimization. The randomized equivalence test drives a
-// sequential and a threaded 4-shard service with byte-identical inputs
-// and the same poll schedule and requires bit-identical per-shard
-// emission sequences (poll is a synchronous command, so the threaded
-// service is deterministic under a single producer). The stress test is
-// the TSan target: many sessions on many producer threads hammering a
-// threaded service with random concurrent flushes, checked for
-// conservation and dense ranks rather than determinism. Global-merge
-// drain is pinned against the shard-local stream (same records, total
-// (safe_time, shard, rank) order) in both execution modes.
+// FairOrderingService over randomized streams and from many caller
+// threads. Batched ingest must be pure amortization (submit_batch ==
+// per-message submit, on the service and on a bare sequencer); the
+// global-merge drain is pinned against the shard-local stream (same
+// records, total (safe_time, shard, rank) order). The stress test is the
+// TSan target: many sessions on many producer threads plus a drainer
+// issuing random polls, flushes and state reads, every call behind one
+// caller-owned mutex (the wire front-end's discipline), checked for
+// conservation and dense ranks rather than determinism.
 #include "core/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -151,49 +150,20 @@ void expect_identical_per_shard(const std::vector<Tagged>& actual,
   }
 }
 
-TEST(ServiceThreadedTest, FourShardThreadedMatchesSequentialBitForBit) {
-  for (std::uint64_t seed : {101u, 202u, 303u}) {
-    const Stream s = make_stream(seed, 12, 700);
-
-    ServiceConfig sequential;
-    sequential.with_p_safe(0.995).with_shards(4);
-    FairOrderingService seq_service(s.registry, s.population.ids(),
-                                    sequential);
-    const auto seq_out = drive(seq_service, s);
-    EXPECT_FALSE(seq_out.empty());
-
-    ServiceConfig threaded = sequential;
-    threaded.with_worker_threads();
-    FairOrderingService thr_service(s.registry, s.population.ids(),
-                                    threaded);
-    const auto thr_out = drive(thr_service, s);
-
-    expect_identical_per_shard(thr_out, seq_out, 4,
-                               ("seed " + std::to_string(seed)).c_str());
-    EXPECT_EQ(thr_service.pending_count(), 0u);
-    EXPECT_EQ(thr_service.fairness_violations(),
-              seq_service.fairness_violations());
-  }
-}
-
 TEST(ServiceThreadedTest, SubmitBatchMatchesPerMessageSubmit) {
   // Batched ingest is pure amortization: the same stream chunked through
-  // submit_batch must produce the same emissions — sequential AND
-  // threaded (where the batch rides the same ring).
+  // submit_batch must produce the same emissions.
   const Stream s = make_stream(77u, 8, 500);
-  for (const bool threaded : {false, true}) {
-    SCOPED_TRACE(threaded ? "threaded" : "sequential");
-    ServiceConfig config;
-    config.with_p_safe(0.995).with_shards(2).with_worker_threads(threaded);
+  ServiceConfig config;
+  config.with_p_safe(0.995).with_shards(2);
 
-    FairOrderingService singles(s.registry, s.population.ids(), config);
-    const auto single_out = drive(singles, s, /*use_submit_batch=*/false);
-    EXPECT_FALSE(single_out.empty());
+  FairOrderingService singles(s.registry, s.population.ids(), config);
+  const auto single_out = drive(singles, s, /*use_submit_batch=*/false);
+  EXPECT_FALSE(single_out.empty());
 
-    FairOrderingService batched(s.registry, s.population.ids(), config);
-    const auto batch_out = drive(batched, s, /*use_submit_batch=*/true);
-    expect_identical_per_shard(batch_out, single_out, 2, "batched-vs-single");
-  }
+  FairOrderingService batched(s.registry, s.population.ids(), config);
+  const auto batch_out = drive(batched, s, /*use_submit_batch=*/true);
+  expect_identical_per_shard(batch_out, single_out, 2, "batched-vs-single");
 }
 
 TEST(ServiceThreadedTest, BareSequencerSubmitBatchMatchesSubmit) {
@@ -270,9 +240,8 @@ TEST(ServiceThreadedTest, BareSequencerSubmitBatchMatchesSubmit) {
 
 TEST(ServiceThreadedTest, GlobalMergeDeliversSameRecordsTotallyOrdered) {
   // kGlobalMerge must (a) deliver exactly the records kShardLocal
-  // delivers (per shard, same order), (b) hand them over sorted by
-  // (safe_time, shard, rank) within each poll's release, and (c) agree
-  // between sequential and threaded execution.
+  // delivers (per shard, same order) and (b) hand them over sorted by
+  // (safe_time, shard, rank) within each poll's release.
   const Stream s = make_stream(55u, 12, 600);
 
   ServiceConfig local;
@@ -280,79 +249,41 @@ TEST(ServiceThreadedTest, GlobalMergeDeliversSameRecordsTotallyOrdered) {
   FairOrderingService local_service(s.registry, s.population.ids(), local);
   const auto local_out = drive(local_service, s);
 
-  std::vector<Tagged> merged_out[2];
-  for (const bool threaded : {false, true}) {
-    ServiceConfig merged = local;
-    merged.with_drain_policy(DrainPolicy::kGlobalMerge)
-        .with_worker_threads(threaded);
-    FairOrderingService merged_service(s.registry, s.population.ids(),
-                                       merged);
-    merged_out[threaded ? 1 : 0] = drive(merged_service, s);
-  }
+  ServiceConfig merged = local;
+  merged.with_drain_policy(DrainPolicy::kGlobalMerge);
+  FairOrderingService merged_service(s.registry, s.population.ids(), merged);
+  const auto out = drive(merged_service, s);
 
-  for (const bool threaded : {false, true}) {
-    SCOPED_TRACE(threaded ? "threaded" : "sequential");
-    const auto& out = merged_out[threaded ? 1 : 0];
-    // (a) same per-shard records as shard-local (rank-aligned; release
-    // order within a shard follows safe_time, not rank).
-    expect_identical_per_shard(out, local_out, 3, "same-records",
-                               /*sort_by_rank=*/true);
-    // (b) the merged stream is totally ordered by (safe_time, shard,
-    // rank) — the shard-local rank caveat (a rank-blocked batch with an
-    // earlier T_b) cannot appear because release waits for
-    // min(next_safe_time).
-    for (std::size_t r = 1; r < out.size(); ++r) {
-      const auto& prev = out[r - 1];
-      const auto& cur = out[r];
-      const bool ordered =
-          prev.record.safe_time < cur.record.safe_time ||
-          (prev.record.safe_time == cur.record.safe_time &&
-           (prev.shard < cur.shard ||
-            (prev.shard == cur.shard &&
-             prev.record.batch.rank < cur.record.batch.rank)));
-      EXPECT_TRUE(ordered) << "record " << r << " out of order";
-    }
-  }
-  // (c) both execution modes produce the identical merged sequence.
-  ASSERT_EQ(merged_out[0].size(), merged_out[1].size());
-  for (std::size_t r = 0; r < merged_out[0].size(); ++r) {
-    EXPECT_EQ(merged_out[0][r].shard, merged_out[1][r].shard);
-    EXPECT_EQ(merged_out[0][r].record.batch.rank,
-              merged_out[1][r].record.batch.rank);
+  // (a) same per-shard records as shard-local (rank-aligned; release
+  // order within a shard follows safe_time, not rank).
+  expect_identical_per_shard(out, local_out, 3, "same-records",
+                             /*sort_by_rank=*/true);
+  // (b) the merged stream is totally ordered by (safe_time, shard,
+  // rank) — the shard-local rank caveat (a rank-blocked batch with an
+  // earlier T_b) cannot appear because release waits for
+  // min(next_safe_time).
+  for (std::size_t r = 1; r < out.size(); ++r) {
+    const auto& prev = out[r - 1];
+    const auto& cur = out[r];
+    const bool ordered =
+        prev.record.safe_time < cur.record.safe_time ||
+        (prev.record.safe_time == cur.record.safe_time &&
+         (prev.shard < cur.shard ||
+          (prev.shard == cur.shard &&
+           prev.record.batch.rank < cur.record.batch.rank)));
+    EXPECT_TRUE(ordered) << "record " << r << " out of order";
   }
 }
 
-TEST(ServiceThreadedTest, LegacyEntryPointsDieUnderWorkerThreads) {
-  ClientRegistry registry;
-  registry.announce(ClientId(0), std::make_unique<stats::Gaussian>(0.0, 1e-3));
-  registry.announce(ClientId(1), std::make_unique<stats::Gaussian>(0.0, 1e-3));
-  ServiceConfig config;
-  config.with_p_safe(0.99).with_worker_threads();
-  FairOrderingService service(registry, {ClientId(0), ClientId(1)}, config);
-  EXPECT_DEATH(service.submit(Message{MessageId(1), ClientId(0),
-                                      TimePoint(1.0), TimePoint(1.0)}),
-               "precondition");
-  EXPECT_DEATH(service.heartbeat(ClientId(0), TimePoint(1.0), TimePoint(1.0)),
-               "precondition");
-}
-
-TEST(ServiceThreadedTest, ReferenceModeRefusesWorkerThreads) {
-  ClientRegistry registry;
-  registry.announce(ClientId(0), std::make_unique<stats::Gaussian>(0.0, 1e-3));
-  ServiceConfig config;
-  config.with_p_safe(0.99).with_worker_threads();
-  config.online.reference_mode = true;
-  EXPECT_DEATH(FairOrderingService(registry, {ClientId(0)}, config),
-               "precondition");
-}
-
-TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
-  // The TSan target: kProducers threads × kSessionsPerProducer sessions
-  // hammer a threaded 4-shard service while the main thread issues
-  // random polls and flushes. No determinism to assert — instead:
-  // conservation (every submitted message emitted exactly once after the
-  // final flush), dense per-shard ranks, and no data race (TSan) or
-  // crash.
+TEST(ServiceThreadedTest, ConcurrentCallersBehindOneMutexStress) {
+  // The caller-serialization contract, as a TSan target: kProducers
+  // threads × kSessionsPerProducer sessions share a 4-shard service with
+  // a drainer thread issuing random polls, flushes and state reads, every
+  // call behind one caller-owned mutex (what the wire front-end does).
+  // No determinism to assert — instead: conservation (every submitted
+  // message emitted exactly once after the final flush), dense per-shard
+  // ranks, and no data race (TSan) or crash. Each producer's sessions
+  // land on one shard (range routing), so per-shard arrivals stay FIFO.
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kSessionsPerProducer = 3;
   constexpr std::size_t kPerSession = 400;
@@ -366,10 +297,10 @@ TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
     clients.push_back(ClientId(c));
   }
   ServiceConfig config;
-  config.with_p_safe(0.99).with_shards(4).with_worker_threads();
+  config.with_p_safe(0.99).with_shards(4);
   config.online.client_silence_timeout = 10_ms;  // don't gate on quiet peers
-  config.ingest_ring_capacity = 64;              // force backpressure
   FairOrderingService service(registry, clients, config);
+  std::mutex service_mutex;
 
   std::atomic<std::uint64_t> total_emitted{0};
   std::atomic<bool> producers_done{false};
@@ -386,6 +317,7 @@ TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
       Rng rng(1000 + p);
       std::vector<FairOrderingService::Session> sessions;
       for (std::size_t i = 0; i < kSessionsPerProducer; ++i) {
+        std::lock_guard<std::mutex> lock(service_mutex);
         sessions.push_back(service.open_session(
             ClientId(static_cast<std::uint32_t>(p * kSessionsPerProducer
                                                 + i))));
@@ -395,6 +327,7 @@ TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
       for (std::size_t k = 0; k < kPerSession * kSessionsPerProducer; ++k) {
         now += Duration::from_micros(rng.uniform(0.1, 5.0));
         auto& session = sessions[k % kSessionsPerProducer];
+        std::lock_guard<std::mutex> lock(service_mutex);
         if (k % 17 == 0) {
           session.heartbeat(now, now);
         } else {
@@ -402,6 +335,7 @@ TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
                          MessageId(id++), now);
         }
       }
+      std::lock_guard<std::mutex> lock(service_mutex);
       for (auto& session : sessions) session.heartbeat(now + 10_s, now);
     });
   }
@@ -411,19 +345,19 @@ TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
     while (!producers_done.load(std::memory_order_acquire)) {
       const double dice = rng.uniform(0.0, 1.0);
       const TimePoint at(rng.uniform(0.0, 10.0));
+      std::unique_lock<std::mutex> lock(service_mutex);
       if (dice < 0.55) {
         service.poll(at, sink);
       } else if (dice < 0.75) {
         service.flush(at, sink);
       } else if (dice < 0.85) {
-        // State accessors race real producers here on purpose: they must
-        // serve ack-time snapshots, never live shard state (TSan target).
         (void)service.pending_count();
       } else if (dice < 0.95) {
         (void)service.next_safe_time();
       } else {
         (void)service.fairness_violations();
       }
+      lock.unlock();
       std::this_thread::yield();
     }
   });
@@ -451,19 +385,19 @@ TEST(ServiceThreadedTest, ConcurrentProducersWithRandomFlushesStress) {
   }
 }
 
-TEST(ServiceThreadedTest, QuiesceMakesStateAccessorsExact) {
+TEST(ServiceThreadedTest, StateAccessorsReflectEverySubmit) {
   ClientRegistry registry;
   registry.announce(ClientId(0), std::make_unique<stats::Gaussian>(0.0, 1e-4));
   registry.announce(ClientId(1), std::make_unique<stats::Gaussian>(0.0, 1e-4));
   ServiceConfig config;
-  config.with_p_safe(0.999).with_shards(2).with_worker_threads();
+  config.with_p_safe(0.999).with_shards(2);
   FairOrderingService service(registry, {ClientId(0), ClientId(1)}, config);
 
   auto a = service.open_session(ClientId(0));
   auto b = service.open_session(ClientId(1));
   a.submit(TimePoint(1.0), MessageId(1), TimePoint(1.001));
   b.submit(TimePoint(1.1), MessageId(2), TimePoint(1.101));
-  // pending_count quiesces internally: both submits must be visible.
+  // Both submits are visible to the aggregate accessors at once.
   EXPECT_EQ(service.pending_count(), 2u);
   EXPECT_TRUE(service.next_safe_time().is_finite());
 

@@ -3,10 +3,10 @@
 // streams, torn handshakes, mid-frame cuts, reconnect-and-resume), but
 // served by TransportMode::kEventLoop — M poller threads multiplexing
 // every connection — and the emission stream must stay bit-identical to
-// the direct-session oracle in every engine configuration (sequential,
-// sharded, threaded, global-merge) over Unix and TCP transports.
-// soak_test.cpp already proves threaded-reader == direct, so direct
-// equivalence here IS epoll == threaded-reader, transitively.
+// the direct-session oracle in every service configuration (single-shard,
+// sharded, global-merge) over Unix and TCP transports. soak_test.cpp
+// already proves thread-per-connection reader == direct, so direct
+// equivalence here IS epoll == thread-per-connection, transitively.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -164,16 +164,13 @@ EpollSoakOutcome run_epoll_soaked(
   return outcome;
 }
 
-void epoll_soak_equivalence(ServiceConfig soak_config,
-                            ServiceConfig direct_config,
-                            EpollSoakOptions options,
+void epoll_soak_equivalence(ServiceConfig config, EpollSoakOptions options,
                             std::uint32_t clients = 4, int per_client = 30) {
   const auto workload =
       make_workload(clients, per_client, /*seed=*/options.seed + 1000);
-  const auto direct = run_direct(workload, direct_config);
+  const auto direct = run_direct(workload, config);
   ASSERT_FALSE(direct.empty());
-  const EpollSoakOutcome outcome =
-      run_epoll_soaked(workload, soak_config, options);
+  const EpollSoakOutcome outcome = run_epoll_soaked(workload, config, options);
   EXPECT_GT(outcome.episodes, static_cast<std::uint64_t>(clients));
   EXPECT_GT(outcome.cuts, 0u);
   expect_equivalent(direct, outcome.emissions);
@@ -185,7 +182,7 @@ TEST(EpollSoakOverUnixSockets, SequentialEmissionsSurviveBitForBit) {
   for (std::uint64_t seed : {21ULL, 22ULL}) {
     EpollSoakOptions options;
     options.seed = seed;
-    epoll_soak_equivalence(config, config, options);
+    epoll_soak_equivalence(config, options);
   }
 }
 
@@ -195,29 +192,16 @@ TEST(EpollSoakOverUnixSockets, SequentialShardedEmissionsSurvive) {
   EpollSoakOptions options;
   options.seed = 25;
   options.poller_threads = 3;
-  epoll_soak_equivalence(config, config, options, /*clients=*/6);
-}
-
-TEST(EpollSoakOverUnixSockets, ThreadedEmissionsSurviveBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99);
-  EpollSoakOptions options;
-  options.seed = 27;
-  epoll_soak_equivalence(threaded, sequential, options);
+  epoll_soak_equivalence(config, options, /*clients=*/6);
 }
 
 TEST(EpollSoakOverUnixSockets, GlobalMergeEmissionsSurviveBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99).with_drain_policy(
+  ServiceConfig merged;
+  merged.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
   EpollSoakOptions options;
   options.seed = 31;
-  epoll_soak_equivalence(threaded, sequential, options);
+  epoll_soak_equivalence(merged, options);
 }
 
 TEST(EpollSoakOverUnixSockets, TinySubmitBatchLimitStillBitIdentical) {
@@ -228,7 +212,7 @@ TEST(EpollSoakOverUnixSockets, TinySubmitBatchLimitStillBitIdentical) {
   EpollSoakOptions options;
   options.seed = 33;
   options.submit_batch_limit = 2;
-  epoll_soak_equivalence(config, config, options);
+  epoll_soak_equivalence(config, options);
 }
 
 TEST(EpollSoakOverTcp, SequentialEmissionsSurviveBitForBit) {
@@ -237,18 +221,16 @@ TEST(EpollSoakOverTcp, SequentialEmissionsSurviveBitForBit) {
   EpollSoakOptions options;
   options.seed = 37;
   options.use_tcp = true;
-  epoll_soak_equivalence(config, config, options);
+  epoll_soak_equivalence(config, options);
 }
 
-TEST(EpollSoakOverTcp, ThreadedEmissionsSurviveBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99);
+TEST(EpollSoakOverTcp, ShardedEmissionsSurviveBitForBit) {
+  ServiceConfig config;
+  config.with_shards(2).with_p_safe(0.99);
   EpollSoakOptions options;
   options.seed = 41;
   options.use_tcp = true;
-  epoll_soak_equivalence(threaded, sequential, options);
+  epoll_soak_equivalence(config, options);
 }
 
 /// Event-mode churn: 60 connect/submit/disconnect cycles through the

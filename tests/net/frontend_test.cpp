@@ -1,13 +1,14 @@
 // Wire front-end: ByteStream pipes, the Connection handshake/dispatch
 // state machine (typed error paths, partial-read torture), the
 // frames-in == direct-session-calls-in equivalence (bit-identical
-// emission streams, sequential and threaded engines, deliberately
-// fragmented and coalesced reads), and the outbound BatchEmission
-// broadcast — including over a real socketpair.
+// emission streams for single-shard, sharded and global-merge services,
+// deliberately fragmented and coalesced reads), and the outbound
+// BatchEmission broadcast — including over a real socketpair.
 #include "net/frontend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 #include <variant>
 
@@ -297,12 +298,13 @@ struct ConnectionFixture {
   ClientRegistry registry = make_registry(4);
   ServiceConfig config;
   FairOrderingService service;
+  std::mutex ingest_mutex;
   Connection connection;
 
   explicit ConnectionFixture(ServiceConfig service_config = {})
       : config(service_config),
         service(registry, ids(4), config),
-        connection(registry, service, test_config()) {}
+        connection(registry, service, test_config(), ingest_mutex) {}
 };
 
 TEST(Connection, HandshakeThenMessagesFlow) {
@@ -394,7 +396,8 @@ TEST(Connection, OversizedFrameIsRejected) {
   FairOrderingService service(registry, ids(4), {});
   FrontendConfig config = test_config();
   config.max_frame_bytes = 8;
-  Connection connection(registry, service, config);
+  std::mutex ingest_mutex;
+  Connection connection(registry, service, config, ingest_mutex);
   EXPECT_FALSE(connection.on_bytes(announce_frame(1)));  // summary > 8 bytes
   EXPECT_EQ(connection.error(), WireError::kOversizedFrame);
 }
@@ -422,7 +425,7 @@ TEST(Connection, IdenticalReannounceIsIdempotent) {
   EXPECT_EQ(fx.registry.generation(), generation);
 }
 
-TEST(Connection, ChangedReannounceUpdatesASequentialRegistry) {
+TEST(Connection, ChangedReannounceUpdatesTheRegistry) {
   ConnectionFixture fx;
   ASSERT_TRUE(fx.connection.on_bytes(announce_frame(1)));
   const std::uint64_t generation = fx.registry.generation();
@@ -436,12 +439,11 @@ TEST(Connection, ChangedReannounceUpdatesASequentialRegistry) {
   EXPECT_EQ(fx.service.pending_count(), 1u);
 }
 
-TEST(Connection, ChangedAnnounceAgainstAThreadedServiceStartsAReconfig) {
+TEST(Connection, ChangedAnnounceStartsAReconfig) {
   ClientRegistry registry = make_registry(4);
-  ServiceConfig config;
-  config.with_worker_threads();
-  FairOrderingService service(registry, ids(4), config);
-  Connection connection(registry, service, test_config());
+  FairOrderingService service(registry, ids(4), {});
+  std::mutex ingest_mutex;
+  Connection connection(registry, service, test_config(), ingest_mutex);
   // Identical announce: fine (generation untouched).
   ASSERT_TRUE(connection.on_bytes(announce_frame(1)));
   EXPECT_FALSE(service.reconfig_pending());
@@ -455,7 +457,6 @@ TEST(Connection, ChangedAnnounceAgainstAThreadedServiceStartsAReconfig) {
   EXPECT_EQ(connection.error(), WireError::kNone);
   EXPECT_EQ(registry.generation(), 5u);  // the change landed
   ASSERT_TRUE(connection.on_bytes(message_frame(1, 7, 1.001)));
-  service.quiesce();
   EXPECT_EQ(service.pending_count(), 1u);
   // The epoch catches up (the announce already requested the prime).
   service.reconfigure();
@@ -493,33 +494,14 @@ TEST(FrameFrontend, FramedEqualsDirectSequentialSharded) {
   expect_equivalent(direct, run_framed(workload, config, /*seed=*/17));
 }
 
-TEST(FrameFrontend, FramedEqualsDirectThreaded) {
-  const auto workload = make_workload(6, 30, /*seed=*/23);
-  ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  // The threaded service's per-shard streams are themselves bit-identical
-  // to the sequential ones, so compare against the SEQUENTIAL direct
-  // drive: frames → rings → workers must not change emissions either.
-  ServiceConfig direct_config;
-  direct_config.with_shards(2).with_p_safe(0.99);
-  const auto direct = run_direct(workload, direct_config);
-  EXPECT_FALSE(direct.empty());
-  for (std::uint64_t seed : {7ULL, 8ULL}) {
-    expect_equivalent(direct, run_framed(workload, config, seed));
-  }
-}
-
-TEST(FrameFrontend, FramedEqualsDirectThreadedGlobalMerge) {
+TEST(FrameFrontend, FramedEqualsDirectGlobalMerge) {
   const auto workload = make_workload(4, 25, /*seed=*/31);
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99).with_drain_policy(
+  ServiceConfig merged;
+  merged.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
-  const auto direct = run_direct(workload, sequential);
+  const auto direct = run_direct(workload, merged);
   EXPECT_FALSE(direct.empty());
-  expect_equivalent(direct, run_framed(workload, threaded, /*seed=*/41));
+  expect_equivalent(direct, run_framed(workload, merged, /*seed=*/41));
 }
 
 // ── Outbound: emissions come back as frames ─────────────────────────────
@@ -589,7 +571,7 @@ TEST(FrameFrontend, BroadcastsEmittedBatchesAsFrames) {
 TEST(FrameFrontend, WorksOverASocketpair) {
   ClientRegistry registry = make_registry(2);
   ServiceConfig service_config;
-  service_config.with_p_safe(0.99).with_worker_threads();
+  service_config.with_p_safe(0.99);
   FairOrderingService service(registry, ids(2), service_config);
   FrameFrontend frontend(registry, service, test_config());
 

@@ -3,7 +3,7 @@
 // mid-frame disconnects at chosen byte offsets, torn handshakes),
 // disconnect and reconnect to resume — and the service's emission stream
 // is bit-identical to the same workload driven through direct session
-// calls, in sequential, threaded, and global-merge configurations. The
+// calls, in single-shard, sharded, and global-merge configurations. The
 // probabilistic guarantees only matter if they survive messy transports;
 // this is where messy is manufactured on purpose.
 #include <gtest/gtest.h>
@@ -164,14 +164,13 @@ SoakOutcome run_soaked(const std::vector<std::vector<Event>>& workload,
 }
 
 /// The acceptance criterion, parameterized over service configs.
-void soak_equivalence(ServiceConfig soak_config,
-                      ServiceConfig direct_config, SoakOptions options,
+void soak_equivalence(ServiceConfig config, SoakOptions options,
                       std::uint32_t clients = 4, int per_client = 30) {
   const auto workload =
       make_workload(clients, per_client, /*seed=*/options.seed + 1000);
-  const auto direct = run_direct(workload, direct_config);
+  const auto direct = run_direct(workload, config);
   ASSERT_FALSE(direct.empty());
-  const SoakOutcome outcome = run_soaked(workload, soak_config, options);
+  const SoakOutcome outcome = run_soaked(workload, config, options);
   // The soak actually soaked: reconnect episodes and deliberate cuts.
   EXPECT_GT(outcome.episodes,
             static_cast<std::uint64_t>(clients));
@@ -185,7 +184,7 @@ TEST(SoakOverUnixSockets, SequentialEmissionsSurviveDisconnectsBitForBit) {
   for (std::uint64_t seed : {1ULL, 2ULL}) {
     SoakOptions options;
     options.seed = seed;
-    soak_equivalence(config, config, options);
+    soak_equivalence(config, options);
   }
 }
 
@@ -194,29 +193,16 @@ TEST(SoakOverUnixSockets, SequentialShardedEmissionsSurvive) {
   config.with_shards(3).with_p_safe(0.99);
   SoakOptions options;
   options.seed = 5;
-  soak_equivalence(config, config, options, /*clients=*/6);
-}
-
-TEST(SoakOverUnixSockets, ThreadedEmissionsSurviveDisconnectsBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads();
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99);
-  SoakOptions options;
-  options.seed = 7;
-  soak_equivalence(threaded, sequential, options);
+  soak_equivalence(config, options, /*clients=*/6);
 }
 
 TEST(SoakOverUnixSockets, GlobalMergeEmissionsSurviveDisconnectsBitForBit) {
-  ServiceConfig threaded;
-  threaded.with_shards(2).with_p_safe(0.99).with_worker_threads()
-      .with_drain_policy(core::DrainPolicy::kGlobalMerge);
-  ServiceConfig sequential;
-  sequential.with_shards(2).with_p_safe(0.99).with_drain_policy(
+  ServiceConfig merged;
+  merged.with_shards(2).with_p_safe(0.99).with_drain_policy(
       core::DrainPolicy::kGlobalMerge);
   SoakOptions options;
   options.seed = 11;
-  soak_equivalence(threaded, sequential, options);
+  soak_equivalence(merged, options);
 }
 
 TEST(SoakOverTcp, SequentialEmissionsSurviveDisconnectsBitForBit) {
@@ -225,7 +211,7 @@ TEST(SoakOverTcp, SequentialEmissionsSurviveDisconnectsBitForBit) {
   SoakOptions options;
   options.seed = 13;
   options.use_tcp = true;
-  soak_equivalence(config, config, options);
+  soak_equivalence(config, options);
 }
 
 /// Churn through the real acceptor: the server-side connection table

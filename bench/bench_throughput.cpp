@@ -1,9 +1,8 @@
 // Sequencer throughput: offline sequencing cost on the Gaussian fast path
 // versus the general tournament path, the baselines, and the online
-// ingest cost across its surfaces — the legacy on_message entry point
-// (one hash per message), the Session handle (hash-free), batched
-// session submits, and the sharded FairOrderingService (sessions + sink
-// emission, 1/2/4 shards).
+// ingest cost across its surfaces — the Session handle (hash-free),
+// batched session submits, and the sharded FairOrderingService (sessions
+// + sink emission, 1/2/4 shards).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -87,38 +86,6 @@ void BM_Wfo(benchmark::State& state) {
 }
 BENCHMARK(BM_Wfo)->RangeMultiplier(4)->Range(256, 65536);
 
-void BM_OnlineIngestAndPoll(benchmark::State& state) {
-  // Per-message online cost: ingest a burst then drain it.
-  const auto count = static_cast<std::size_t>(state.range(0));
-  Workbench bench(50, count, Rng(5));
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::OnlineConfig config;
-    config.p_safe = 0.999;
-    core::OnlineSequencer seq(bench.registry, bench.population.ids(), config);
-    state.ResumeTiming();
-
-    TimePoint now(0.0);
-    for (const core::Message& m : bench.messages) {
-      core::Message copy = m;
-      now = std::max(now, m.arrival);
-      copy.arrival = now;
-      seq.on_message(copy);
-    }
-    for (ClientId c : bench.population.ids()) {
-      seq.on_heartbeat(c, now + 10_s, now + 1_ms);
-    }
-    benchmark::DoNotOptimize(seq.poll(now + 1_s));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_OnlineIngestAndPoll)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Arg(65536);
-
 void BM_OnlineSteadyStateDrain(benchmark::State& state) {
   // Production shape: ingest interleaved with heartbeats and frequent
   // polls, so batches emit continuously and the buffer stays at its
@@ -131,25 +98,26 @@ void BM_OnlineSteadyStateDrain(benchmark::State& state) {
     core::OnlineConfig config;
     config.p_safe = 0.999;
     core::OnlineSequencer seq(bench.registry, bench.population.ids(), config);
+    std::vector<core::OnlineSequencer::Session> sessions;
+    sessions.reserve(bench.population.size());
+    for (ClientId c : bench.population.ids()) {
+      sessions.push_back(seq.open_session(c));
+    }
     state.ResumeTiming();
 
     TimePoint now(0.0);
     std::size_t k = 0;
     for (const core::Message& m : bench.messages) {
-      core::Message copy = m;
       now = std::max(now, m.arrival);
-      copy.arrival = now;
-      seq.on_message(copy);
+      sessions[m.client.value()].submit(m.stamp, m.id, now);
       ++k;
       if (k % 256 == 0) {
-        for (ClientId c : bench.population.ids()) {
-          seq.on_heartbeat(c, now, now);
-        }
+        for (auto& session : sessions) session.heartbeat(now, now);
       }
       if (k % 64 == 0) benchmark::DoNotOptimize(seq.poll(now));
     }
-    for (ClientId c : bench.population.ids()) {
-      seq.on_heartbeat(c, now + 10_s, now + 1_ms);
+    for (auto& session : sessions) {
+      session.heartbeat(now + 10_s, now + 1_ms);
     }
     benchmark::DoNotOptimize(seq.poll(now + 1_s));
   }
@@ -158,9 +126,10 @@ void BM_OnlineSteadyStateDrain(benchmark::State& state) {
 BENCHMARK(BM_OnlineSteadyStateDrain)->RangeMultiplier(4)->Range(1024, 65536);
 
 void BM_SessionIngestAndPoll(benchmark::State& state) {
-  // BM_OnlineIngestAndPoll through per-connection Session handles: the
-  // ingest hot path runs with zero hash lookups (the dense index and
-  // per-client offsets are cached in the handle at open).
+  // Per-message online cost: ingest a burst through per-connection
+  // Session handles, then drain it. The ingest hot path runs with zero
+  // hash lookups (the dense index and per-client offsets are cached in
+  // the handle at open).
   const auto count = static_cast<std::size_t>(state.range(0));
   Workbench bench(50, count, Rng(5));
   for (auto _ : state) {
@@ -392,6 +361,7 @@ void BM_BackloggedInsertRelease(benchmark::State& state) {
     for (ClientId c : bench.population.ids()) {
       sessions.push_back(seq.open_session(c));
     }
+    auto mute_session = seq.open_session(mute);
     state.ResumeTiming();
 
     TimePoint now(0.0);
@@ -413,7 +383,7 @@ void BM_BackloggedInsertRelease(benchmark::State& state) {
     for (auto& session : sessions) {
       session.heartbeat(now + 10_s, now + 1_ms);
     }
-    seq.on_heartbeat(mute, now + 10_s, now + 1_ms);
+    mute_session.heartbeat(now + 10_s, now + 1_ms);
     benchmark::DoNotOptimize(seq.poll(now + 1_s));
     const auto r1 = std::chrono::steady_clock::now();
     release_seconds += std::chrono::duration<double>(r1 - r0).count();

@@ -56,13 +56,12 @@ OnlineSequencer::OnlineSequencer(std::shared_ptr<const PrecedingEngine> engine,
   // a mismatch would not be wrong, but each caller would re-prime the
   // whole engine on every ingest/poll — a silent orders-of-magnitude
   // slowdown. Catch it at construction instead.
-  TOMMY_EXPECTS(config_.reference_mode || !engine_->fast_primed() ||
+  TOMMY_EXPECTS(!engine_->fast_primed() ||
                 engine_->fast_params_match(config_.threshold, config_.p_safe));
   init_expected_clients();
 }
 
 void OnlineSequencer::init_expected_clients() {
-  ref_generation_ = registry_.generation();
   TOMMY_EXPECTS(config_.threshold > 0.5 && config_.threshold < 1.0);
   TOMMY_EXPECTS(config_.p_safe > 0.5 && config_.p_safe < 1.0);
   TOMMY_EXPECTS(!expected_clients_.empty());
@@ -80,23 +79,11 @@ void OnlineSequencer::init_expected_clients() {
     state.cindex = cindex;
     clients_.push_back(state);
   }
-  if (!config_.reference_mode) {
-    engine_->prime(config_.threshold, config_.p_safe);
-    epoch_generation_ = engine_->fast_generation();
-  }
+  engine_->prime(config_.threshold, config_.p_safe);
+  epoch_generation_ = engine_->fast_generation();
   unheard_count_ = clients_.size();
   heap_.reserve(clients_.size());
   heap_pos_.assign(clients_.size(), kNotInHeap);
-  session_table_.reserve(clients_.size());
-  for (const ClientState& state : clients_) {
-    Session session;
-    session.sequencer_ = this;
-    session.client_ = state.id;
-    session.cindex_ = state.cindex;
-    session.slot_ = slot_by_cindex_[state.cindex];
-    refresh_session(session);
-    session_table_.push_back(session);
-  }
 }
 
 void OnlineSequencer::register_client(ClientId client) {
@@ -115,13 +102,6 @@ void OnlineSequencer::register_client(ClientId client) {
   clients_.push_back(state);
   ++unheard_count_;
   heap_pos_.push_back(kNotInHeap);
-  Session session;
-  session.sequencer_ = this;
-  session.client_ = client;
-  session.cindex_ = cindex;
-  session.slot_ = slot;
-  refresh_session(session);
-  session_table_.push_back(session);
 }
 
 std::uint32_t OnlineSequencer::slot_of(ClientId client) const {
@@ -136,17 +116,18 @@ std::uint32_t OnlineSequencer::slot_of(ClientId client) const {
 
 void OnlineSequencer::refresh_session(Session& session) const {
   session.generation_ = registry_.generation();
-  if (config_.reference_mode) return;  // no cached constants to refresh
   session.mean_offset_ = engine_->fast_mean(session.cindex_);
   session.safe_offset_ = engine_->fast_safe_offset(session.cindex_);
 }
 
 OnlineSequencer::Session OnlineSequencer::open_session(ClientId client) {
   maybe_reprime();  // a fresh handle starts from current tables
-  Session session = session_table_[slot_of(client)];
-  if (session.generation_ != registry_.generation()) {
-    refresh_session(session);
-  }
+  Session session;
+  session.sequencer_ = this;
+  session.client_ = client;
+  session.slot_ = slot_of(client);
+  session.cindex_ = clients_[session.slot_].cindex;
+  refresh_session(session);
   return session;
 }
 
@@ -187,7 +168,6 @@ void OnlineSequencer::touch_client(ClientState& state) {
     TOMMY_ASSERT(unheard_count_ > 0);
     --unheard_count_;
   }
-  if (config_.reference_mode) return;
   const TimePoint frontier =
       engine_->fast_completeness_frontier(state.cindex, state.high_water);
   const auto slot = static_cast<std::uint32_t>(&state - clients_.data());
@@ -212,10 +192,7 @@ void OnlineSequencer::session_submit(Session& session, TimePoint stamp,
     TOMMY_EXPECTS(now >= last_arrival_);  // FIFO delivery contract
   }
   last_arrival_ = std::max(last_arrival_, now);
-  if (!config_.reference_mode &&
-      session.generation_ != registry_.generation()) {
-    refresh_session(session);
-  }
+  if (session.generation_ != registry_.generation()) refresh_session(session);
 
   ClientState& state = clients_[session.slot_];
   state.high_water = std::max(state.high_water, stamp);
@@ -225,15 +202,10 @@ void OnlineSequencer::session_submit(Session& session, TimePoint stamp,
   Buffered entry;
   entry.msg = Message{id, session.client_, stamp, now};
   entry.cindex = session.cindex_;
-  if (config_.reference_mode) {
-    entry.corrected = engine_->corrected_stamp(entry.msg).seconds();
-    entry.safe_time = engine_->safe_emission_time(entry.msg, config_.p_safe);
-  } else {
-    // Same arithmetic as the engine's fast_corrected /
-    // fast_safe_emission_time, from the session's cached offsets.
-    entry.corrected = stamp.seconds() + session.mean_offset_;
-    entry.safe_time = stamp + Duration(session.safe_offset_);
-  }
+  // Same arithmetic as the engine's fast_corrected /
+  // fast_safe_emission_time, from the session's cached offsets.
+  entry.corrected = stamp.seconds() + session.mean_offset_;
+  entry.safe_time = stamp + Duration(session.safe_offset_);
   ingest(std::move(entry));
 }
 
@@ -242,10 +214,7 @@ void OnlineSequencer::session_submit_batch(Session& session,
                                            bool relaxed) {
   if (items.empty()) return;
   maybe_reprime();
-  if (!config_.reference_mode &&
-      session.generation_ != registry_.generation()) {
-    refresh_session(session);
-  }
+  if (session.generation_ != registry_.generation()) refresh_session(session);
 
   ClientState& state = clients_[session.slot_];
   for (const Submission& item : items) {
@@ -259,13 +228,8 @@ void OnlineSequencer::session_submit_batch(Session& session,
     Buffered entry;
     entry.msg = Message{item.id, session.client_, item.stamp, item.arrival};
     entry.cindex = session.cindex_;
-    if (config_.reference_mode) {
-      entry.corrected = engine_->corrected_stamp(entry.msg).seconds();
-      entry.safe_time = engine_->safe_emission_time(entry.msg, config_.p_safe);
-    } else {
-      entry.corrected = item.stamp.seconds() + session.mean_offset_;
-      entry.safe_time = item.stamp + Duration(session.safe_offset_);
-    }
+    entry.corrected = item.stamp.seconds() + session.mean_offset_;
+    entry.safe_time = item.stamp + Duration(session.safe_offset_);
     ingest(std::move(entry));
   }
   // One completeness-state fix-up for the whole batch: gate checks only
@@ -282,39 +246,14 @@ void OnlineSequencer::session_heartbeat(Session& session,
   touch_client(state);
 }
 
-void OnlineSequencer::on_message(const Message& m) {
-  // Thin wrapper: route through the internal session table (one hash).
-  session_submit(session_table_[slot_of(m.client)], m.stamp, m.id, m.arrival,
-                 /*relaxed=*/false);
-}
-
-void OnlineSequencer::on_heartbeat(ClientId c, TimePoint local_stamp,
-                                   TimePoint now) {
-  session_heartbeat(session_table_[slot_of(c)], local_stamp, now);
-}
-
 void OnlineSequencer::refresh_entry(Buffered& entry) const {
   entry.cindex = registry_.index_of(entry.msg.client);
-  if (config_.reference_mode) {
-    entry.corrected = engine_->corrected_stamp(entry.msg).seconds();
-    entry.safe_time = engine_->safe_emission_time(entry.msg, config_.p_safe);
-  } else {
-    entry.corrected = engine_->fast_corrected(entry.cindex, entry.msg.stamp);
-    entry.safe_time =
-        engine_->fast_safe_emission_time(entry.cindex, entry.msg.stamp);
-  }
+  entry.corrected = engine_->fast_corrected(entry.cindex, entry.msg.stamp);
+  entry.safe_time =
+      engine_->fast_safe_emission_time(entry.cindex, entry.msg.stamp);
 }
 
 void OnlineSequencer::maybe_reprime() {
-  if (config_.reference_mode) {
-    // Mirror of the fast path's refresh boundary: a registry re-announce
-    // re-keys every buffered entry, so restore (corrected, id) order
-    // before any insert or closure computation reads the buffer. Both
-    // modes therefore re-sort at the first entry-point call after an
-    // announce and stay bit-identical across it.
-    if (registry_.generation() != ref_generation_) resort_reference_buffer();
-    return;
-  }
   if (!engine_->fast_ready(config_.threshold, config_.p_safe)) {
     engine_->prime(config_.threshold, config_.p_safe);
   }
@@ -332,10 +271,10 @@ void OnlineSequencer::refresh_epoch_state() {
   // epoch). Sessions refresh themselves lazily off the generation
   // counter.
   epoch_generation_ = engine_->fast_generation();
-  std::vector<Buffered> entries = fast_buffer_.extract_all();
+  std::vector<Buffered> entries = buffer_.extract_all();
   for (Buffered& entry : entries) refresh_entry(entry);
   std::sort(entries.begin(), entries.end(), BufferedLess{});
-  fast_buffer_.assign_sorted(std::move(entries));
+  buffer_.assign_sorted(std::move(entries));
   for (Buffered& entry : last_emitted_) refresh_entry(entry);
   // The frontier offsets moved too: recompute every heard client's cached
   // frontier and rebuild the gate heap over all heard clients (clients
@@ -350,46 +289,23 @@ void OnlineSequencer::refresh_epoch_state() {
   head_valid_ = false;
 }
 
-void OnlineSequencer::resort_reference_buffer() {
-  ref_generation_ = registry_.generation();
-  // The naive comparator, applied to the whole buffer: both modes sort
-  // unique (corrected stamp, id) keys with std::sort, and the equivalence
-  // tests prove corrected_stamp == the fast path's cached key bitwise, so
-  // the resulting permutations are identical.
-  std::sort(buffer_.begin(), buffer_.end(),
-            [this](const Buffered& lhs, const Buffered& rhs) {
-              const TimePoint lk = engine_->corrected_stamp(lhs.msg);
-              const TimePoint rk = engine_->corrected_stamp(rhs.msg);
-              if (lk != rk) return lk < rk;
-              return lhs.msg.id < rhs.msg.id;
-            });
-}
-
 void OnlineSequencer::rebind_engine(
     std::shared_ptr<const PrecedingEngine> engine,
     std::span<const ClientId> new_clients) {
   TOMMY_EXPECTS(engine != nullptr);
   TOMMY_EXPECTS(&engine->registry() == &registry_);
-  if (!config_.reference_mode) {
-    // The new epoch must be a finished table set for our parameters.
-    TOMMY_EXPECTS(engine->fast_primed() &&
-                  engine->fast_params_match(config_.threshold,
-                                            config_.p_safe));
-  }
+  // The new epoch must be a finished table set for our parameters.
+  TOMMY_EXPECTS(engine->fast_primed() &&
+                engine->fast_params_match(config_.threshold, config_.p_safe));
   engine_ptr_ = std::move(engine);
   engine_ = engine_ptr_.get();
   for (ClientId client : new_clients) register_client(client);
-  if (config_.reference_mode) {
-    // Per-query evaluation leaves no cached constants, but the buffer's
-    // stored order is still a cache of the old keys — restore it.
-    resort_reference_buffer();
-    return;
-  }
   refresh_epoch_state();
 }
 
 void OnlineSequencer::retire_client(ClientId client) {
-  ClientState& state = clients_[slot_of(client)];
+  const std::uint32_t slot = slot_of(client);
+  ClientState& state = clients_[slot];
   if (state.departed) return;
   state.departed = true;
   if (!state.heard) {
@@ -400,45 +316,17 @@ void OnlineSequencer::retire_client(ClientId client) {
     --unheard_count_;
     return;  // never touched, so never in the heap
   }
-  if (!config_.reference_mode) {
-    const std::uint32_t slot = slot_of(client);
-    if (heap_pos_[slot] != kNotInHeap) heap_remove_at(heap_pos_[slot]);
-  }
+  if (heap_pos_[slot] != kNotInHeap) heap_remove_at(heap_pos_[slot]);
 }
 
 bool OnlineSequencer::is_departed(ClientId client) const {
   return clients_[slot_of(client)].departed;
 }
 
-bool OnlineSequencer::confidently_after(const Message& later,
-                                        const Message& earlier) const {
-  return engine_->preceding_probability(earlier, later) > config_.threshold;
-}
-
 void OnlineSequencer::ingest(Buffered entry) {
   // Fairness-violation check: did this message confidently belong at or
   // before a rank we already emitted? (The safe-emission machinery makes
   // this rare — with frequency controlled by p_safe.)
-  if (config_.reference_mode) {
-    for (const Buffered& emitted : last_emitted_) {
-      if (!confidently_after(entry.msg, emitted.msg)) {
-        ++fairness_violations_;
-        break;
-      }
-    }
-    // The naive comparator: recomputes both sides' corrected stamps per
-    // comparison, exactly as the original implementation did.
-    const auto pos = std::lower_bound(
-        buffer_.begin(), buffer_.end(), entry,
-        [this](const Buffered& lhs, const Buffered& rhs) {
-          const TimePoint lk = engine_->corrected_stamp(lhs.msg);
-          const TimePoint rk = engine_->corrected_stamp(rhs.msg);
-          if (lk != rk) return lk < rk;
-          return lhs.msg.id < rhs.msg.id;
-        });
-    buffer_.insert(pos, std::move(entry));
-    return;
-  }
   for (const Buffered& emitted : last_emitted_) {
     const double diff = entry.corrected - emitted.corrected;
     if (!(diff > engine_->fast_critical_gap(emitted.cindex, entry.cindex))) {
@@ -446,10 +334,10 @@ void OnlineSequencer::ingest(Buffered entry) {
       break;
     }
   }
-  insert_fast(std::move(entry));
+  insert_entry(std::move(entry));
 }
 
-void OnlineSequencer::insert_fast(Buffered entry) {
+void OnlineSequencer::insert_entry(Buffered entry) {
   if (head_valid_) {
     const bool inside_head =
         entry.corrected < head_last_corrected_ ||
@@ -465,8 +353,8 @@ void OnlineSequencer::insert_fast(Buffered entry) {
       // head_size_ survives iff the new entry is confidently after every
       // head row. Check exactly, nearest row first; once the gap exceeds
       // the global maximum critical gap no farther row can be uncertain.
-      auto it = fast_buffer_.iterator_at(head_size_);
-      const auto begin = fast_buffer_.begin();
+      auto it = buffer_.iterator_at(head_size_);
+      const auto begin = buffer_.begin();
       while (it != begin) {
         --it;
         const double diff = entry.corrected - it->corrected;
@@ -478,11 +366,11 @@ void OnlineSequencer::insert_fast(Buffered entry) {
       }
     }
   }
-  fast_buffer_.insert(std::move(entry));
+  buffer_.insert(std::move(entry));
 }
 
 void OnlineSequencer::recompute_head() const {
-  TOMMY_ASSERT(!fast_buffer_.empty());
+  TOMMY_ASSERT(!buffer_.empty());
   // Closure rule (see BatchRule::kClosure): the head batch ends at the
   // first position e such that no uncertain pair (i < e <= j) crosses it.
   // "reach" tracks the furthest uncertain partner of any absorbed row; any
@@ -495,18 +383,18 @@ void OnlineSequencer::recompute_head() const {
   // row at a time and each inner scan starts just past it — so
   // bidirectional iterators suffice; indices are tracked only for the
   // reach/cut arithmetic.
-  const std::size_t n = fast_buffer_.size();
+  const std::size_t n = buffer_.size();
   std::size_t reach = 0;
   std::size_t absorbed = 0;
   std::size_t e = 1;
   TimePoint safe(-std::numeric_limits<double>::infinity());
-  auto row_it = fast_buffer_.begin();
+  auto row_it = buffer_.begin();
   while (true) {
     for (; absorbed < e; ++absorbed, ++row_it) {
       const Buffered& row = *row_it;
       safe = std::max(safe, row.safe_time);
       // The loop exits with absorbed == e, so the last row written here
-      // is the head's final row — exactly the key insert_fast compares
+      // is the head's final row — exactly the key insert_entry compares
       // against.
       head_last_corrected_ = row.corrected;
       head_last_id_ = row.msg.id;
@@ -527,35 +415,6 @@ void OnlineSequencer::recompute_head() const {
   head_size_ = e;
   head_safe_ = safe;
   head_valid_ = true;
-}
-
-std::size_t OnlineSequencer::head_batch_size_naive() const {
-  TOMMY_ASSERT(!buffer_.empty());
-  const std::size_t n = buffer_.size();
-  std::size_t reach = 0;
-  std::size_t absorbed = 0;
-  std::size_t e = 1;
-  while (e < n) {
-    for (; absorbed < e; ++absorbed) {
-      for (std::size_t j = absorbed + 1; j < n; ++j) {
-        if (!confidently_after(buffer_[j].msg, buffer_[absorbed].msg)) {
-          reach = std::max(reach, j);
-        }
-      }
-    }
-    if (reach < e) return e;  // clean cut: head batch is buffer_[0..e)
-    e = reach + 1;
-  }
-  return n;
-}
-
-TimePoint OnlineSequencer::safe_time_for_naive(std::size_t batch_size) const {
-  TimePoint t_b = TimePoint(-std::numeric_limits<double>::infinity());
-  for (std::size_t k = 0; k < batch_size; ++k) {
-    t_b = std::max(t_b,
-                   engine_->safe_emission_time(buffer_[k].msg, config_.p_safe));
-  }
-  return t_b;
 }
 
 // ── Completeness min-frontier heap ──────────────────────────────────────
@@ -654,7 +513,7 @@ void OnlineSequencer::heap_rebuild() const {
 }
 
 bool OnlineSequencer::completeness_scan(TimePoint t_b, TimePoint now) const {
-  // Reference semantics over the cached fast-mode frontiers.
+  // The oracle's gate semantics over the cached frontiers.
   for (const ClientState& state : clients_) {
     if (state.departed) continue;  // explicit departure: out of the gate
     const bool timed_out =
@@ -688,24 +547,6 @@ bool OnlineSequencer::completeness_satisfied(TimePoint t_b,
   return true;
 }
 
-bool OnlineSequencer::completeness_satisfied_naive(TimePoint t_b,
-                                                   TimePoint now) const {
-  for (const ClientState& state : clients_) {
-    if (state.departed) continue;  // explicit departure: out of the gate
-    const bool timed_out =
-        config_.client_silence_timeout.is_finite() &&
-        (!state.heard ||
-         now - state.last_heard > config_.client_silence_timeout);
-    if (timed_out) continue;  // liveness guard: drop from the gate
-    if (!state.heard) return false;
-    const TimePoint frontier =
-        engine_->completeness_frontier(state.id, state.high_water,
-                                      config_.p_safe);
-    if (frontier < t_b) return false;
-  }
-  return true;
-}
-
 EmissionRecord OnlineSequencer::take_head(std::size_t size, TimePoint t_b,
                                           TimePoint now) {
   EmissionRecord record;
@@ -713,21 +554,12 @@ EmissionRecord OnlineSequencer::take_head(std::size_t size, TimePoint t_b,
   record.batch.messages.reserve(size);
   last_emitted_.clear();
   last_emitted_.reserve(size);
-  if (config_.reference_mode) {
-    for (std::size_t k = 0; k < size; ++k) {
-      record.batch.messages.push_back(buffer_[k].msg);
-      last_emitted_.push_back(buffer_[k]);
-    }
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(size));
-  } else {
-    auto it = fast_buffer_.begin();
-    for (std::size_t k = 0; k < size; ++k, ++it) {
-      record.batch.messages.push_back(it->msg);
-      last_emitted_.push_back(*it);
-    }
-    fast_buffer_.pop_front(size);
+  auto it = buffer_.begin();
+  for (std::size_t k = 0; k < size; ++k, ++it) {
+    record.batch.messages.push_back(it->msg);
+    last_emitted_.push_back(*it);
   }
+  buffer_.pop_front(size);
   record.emitted_at = now;
   record.safe_time = t_b;
   head_valid_ = false;
@@ -738,23 +570,13 @@ std::size_t OnlineSequencer::drain(TimePoint now, bool ignore_gates,
                                    EmissionSink& sink,
                                    std::uint32_t shard_tag) {
   std::size_t emitted = 0;
-  while (pending_count() > 0) {
-    std::size_t size;
-    TimePoint t_b;
-    if (config_.reference_mode) {
-      size = head_batch_size_naive();
-      t_b = safe_time_for_naive(size);
-    } else {
-      if (!head_valid_) recompute_head();
-      size = head_size_;
-      t_b = head_safe_;
-    }
+  while (!buffer_.empty()) {
+    if (!head_valid_) recompute_head();
+    const std::size_t size = head_size_;
+    const TimePoint t_b = head_safe_;
     if (!ignore_gates) {
       if (now < t_b) break;
-      const bool complete = config_.reference_mode
-                                ? completeness_satisfied_naive(t_b, now)
-                                : completeness_satisfied(t_b, now);
-      if (!complete) break;
+      if (!completeness_satisfied(t_b, now)) break;
     }
     sink.on_emission(take_head(size, t_b, now), shard_tag);
     ++emitted;
@@ -791,10 +613,7 @@ std::size_t OnlineSequencer::flush(TimePoint now, EmissionSink& sink,
 }
 
 TimePoint OnlineSequencer::next_safe_time() const {
-  if (pending_count() == 0) return TimePoint::infinite_future();
-  if (config_.reference_mode) {
-    return safe_time_for_naive(head_batch_size_naive());
-  }
+  if (buffer_.empty()) return TimePoint::infinite_future();
   if (!head_valid_) recompute_head();
   return head_safe_;
 }

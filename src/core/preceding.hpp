@@ -51,8 +51,9 @@
 // After priming, `confidently_preceding` is a subtraction and a compare;
 // the sequencer's corrected stamps, safe-emission times and completeness
 // frontiers are one addition each. The slow per-query API below remains
-// the semantic reference (the online sequencer's reference mode uses it
-// verbatim) and is what the equivalence property tests compare against.
+// the semantic reference (the test-only online oracle and TommySequencer's
+// tournament edges use it) and is what the equivalence property tests
+// compare against.
 #pragma once
 
 #include <cstddef>

@@ -89,9 +89,7 @@ FairOrderingService::FairOrderingService(
   // function of the registry alone, so every shard reads the same data.
   auto engine = std::make_shared<PrecedingEngine>(registry,
                                                   config.online.preceding);
-  if (!config.online.reference_mode) {
-    engine->prime(config.online.threshold, config.online.p_safe);
-  }
+  engine->prime(config.online.threshold, config.online.p_safe);
   engine_ = engine;
   primed_generation_ = registry.generation();
 
@@ -194,15 +192,6 @@ bool FairOrderingService::has_shard(std::uint32_t index) const {
 const PrecedingEngine& FairOrderingService::engine() const {
   std::shared_lock<std::shared_mutex> lock(topology_mutex_);
   return *engine_;
-}
-
-void FairOrderingService::submit(const Message& m) {
-  shards_[shard_of(m.client)]->on_message(m);
-}
-
-void FairOrderingService::heartbeat(ClientId client, TimePoint local_stamp,
-                                    TimePoint now) {
-  shards_[shard_of(client)]->on_heartbeat(client, local_stamp, now);
 }
 
 std::size_t FairOrderingService::release_merged(TimePoint min_next_safe,

@@ -329,11 +329,6 @@ class FairOrderingService {
   /// client revives it.
   void close_session(Session& session);
 
-  /// Routed legacy-style ingest (one hash for the shard lookup plus the
-  /// shard's own table hash). Prefer sessions on hot paths.
-  void submit(const Message& m);
-  void heartbeat(ClientId client, TimePoint local_stamp, TimePoint now);
-
   /// Drains every shard's safe batches into `sink` (shard-tagged; order
   /// per the configured DrainPolicy). Returns the number of batches
   /// handed to the sink by this call.

@@ -28,13 +28,8 @@ TommySequencer::TommySequencer(const ClientRegistry& registry,
 }
 
 PairConfidenceFn TommySequencer::boundary_predicate() const {
-  if (config_.reference_thresholds) {
-    return [this](const Message& a, const Message& b) {
-      return engine_.preceding_probability(a, b) > config_.threshold;
-    };
-  }
-  // Primed path: the threshold decision is one subtraction against the
-  // per-pair critical gap, in corrected-stamp space (see preceding.hpp).
+  // The threshold decision is one subtraction against the primed per-pair
+  // critical gap, in corrected-stamp space (see preceding.hpp).
   return [this](const Message& a, const Message& b) {
     const std::uint32_t ci = registry_.index_of(a.client);
     const std::uint32_t cj = registry_.index_of(b.client);
@@ -47,11 +42,9 @@ PairConfidenceFn TommySequencer::boundary_predicate() const {
 SequencerResult TommySequencer::sequence(std::vector<Message> messages) {
   diagnostics_ = TommyDiagnostics{};
   if (messages.empty()) return {};
-  if (!config_.reference_thresholds) {
-    // Idempotent when already primed for this threshold and registry
-    // generation; re-announces between sequence() calls re-prime here.
-    engine_.prime(config_.threshold, kOfflinePrimePSafe);
-  }
+  // Idempotent when already primed for this threshold and registry
+  // generation; re-announces between sequence() calls re-prime here.
+  engine_.prime(config_.threshold, kOfflinePrimePSafe);
 
   const bool fast = config_.gaussian_fast_path && registry_.all_gaussian() &&
                     !config_.preceding.force_numeric;

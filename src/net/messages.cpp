@@ -18,6 +18,11 @@ constexpr std::uint8_t kTagOrderedBatch = 8;
 constexpr std::uint8_t kTagMergeWatermark = 9;
 constexpr std::uint8_t kTagReplayTruncated = 10;
 
+/// Encoded sizes of one repeated entry, for checking a frame's count
+/// field against the bytes it actually carries before allocating.
+constexpr std::size_t kBatchEntryBytes = 8;           // id
+constexpr std::size_t kOrderedBatchEntryBytes = 28;   // client, id, 2 stamps
+
 }  // namespace
 
 std::vector<std::uint8_t> encode(const WireMessage& message) {
@@ -118,6 +123,7 @@ std::optional<WireMessage> decode(const std::vector<std::uint8_t>& bytes) {
       const auto rank = r.u64();
       const auto count = r.u32();
       if (!rank.has_value() || !count) return std::nullopt;
+      if (*count > r.remaining() / kBatchEntryBytes) return std::nullopt;
       BatchEmission batch;
       batch.rank = *rank;
       batch.messages.reserve(*count);
@@ -157,6 +163,9 @@ std::optional<WireMessage> decode(const std::vector<std::uint8_t>& bytes) {
       const auto count = r.u32();
       if (!node || !epoch || !rank.has_value() || !safe_time || !emitted_at
           || !count) {
+        return std::nullopt;
+      }
+      if (*count > r.remaining() / kOrderedBatchEntryBytes) {
         return std::nullopt;
       }
       OrderedBatch batch;

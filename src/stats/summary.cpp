@@ -138,6 +138,9 @@ std::optional<DistributionSummary> DistributionSummary::deserialize(
       if (!get_f64(bytes, pos, h.hi)) return std::nullopt;
       if (!get_u32(bytes, pos, count)) return std::nullopt;
       if (count == 0 || !(h.lo < h.hi)) return std::nullopt;
+      // Each bin is one f64: reject a count the payload cannot hold
+      // before sizing anything by it.
+      if (count > (bytes.size() - pos) / sizeof(double)) return std::nullopt;
       h.bin_masses.resize(count);
       for (auto& m : h.bin_masses) {
         if (!get_f64(bytes, pos, m)) return std::nullopt;

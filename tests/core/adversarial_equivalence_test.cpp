@@ -1,8 +1,8 @@
 // Adversarial arrival-order equivalence: the O(log n) HoldbackBuffer fast
-// path must stay bit-identical to reference_mode (the retained naive
-// sorted-deque path) under exactly the arrival patterns that made the old
-// flat buffer quadratic — and that a rank-stealing adversary would
-// engineer. Three stream shapes:
+// path must stay bit-identical to the naive sorted-deque oracle
+// (tests/core/oracle_sequencer.hpp) under exactly the arrival patterns
+// that made the old flat buffer quadratic — and that a rank-stealing
+// adversary would engineer. Three stream shapes:
 //
 //   * reverse-corrected: corrected stamps strictly DECREASING in arrival
 //     order, so every insert lands at the buffer front while a closed
@@ -11,13 +11,14 @@
 //     inserts ping-pong between the buffer's ends and repeatedly split
 //     chunks on both flanks;
 //   * mid-stream reprime: a drastic re-announce landing on a deep
-//     backlog, forcing both modes through their re-key + re-sort refresh
-//     boundary mid-stream.
+//     backlog, forcing both implementations through their re-key +
+//     re-sort refresh boundary mid-stream.
 //
-// Each shape is proven on the bare sequencer (fast vs reference) and then
-// across the service configs: multi-shard fast vs reference under both
-// the shard-local drain and kGlobalMerge — covering sharded and
-// global-merge execution with the new structure everywhere.
+// Each shape is proven on the bare sequencer (fast vs oracle) and then
+// across the service configs: a multi-shard service vs one oracle per
+// shard under both the shard-local drain and kGlobalMerge (the oracle
+// side merging with its own (safe_time, shard, rank) heap) — covering
+// sharded and global-merge execution with the new structure everywhere.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 
 #include "core/online_sequencer.hpp"
 #include "core/service.hpp"
+#include "oracle_sequencer.hpp"
 #include "sim/population.hpp"
 #include "stats/gaussian.hpp"
 
@@ -34,6 +36,9 @@ namespace tommy::core {
 namespace {
 
 using namespace tommy::literals;
+using testing::OracleSequencer;
+using testing::OracleShards;
+using testing::SessionDriver;
 
 enum class Pattern { kReverseCorrected, kInterleavedBursts, kMidStreamReprime };
 
@@ -130,10 +135,12 @@ struct DriveResult {
   std::size_t pending_after_flush{0};
 };
 
-/// Drives a bare sequencer: sparse polls while the gate starves (no
-/// heartbeats — the backlog must go deep), the optional drastic reprime,
-/// then heartbeats + poll + flush to land every record.
-DriveResult drive(OnlineSequencer& seq, Scenario& s) {
+/// Drives a bare sequencer (a SessionDriver or the OracleSequencer):
+/// sparse polls while the gate starves (no heartbeats — the backlog must
+/// go deep), the optional drastic reprime, then heartbeats + poll + flush
+/// to land every record.
+template <typename Seq>
+DriveResult drive(Seq& seq, Scenario& s) {
   DriveResult out;
   auto append = [&](std::vector<EmissionRecord>&& recs) {
     for (auto& r : recs) out.records.push_back(std::move(r));
@@ -144,7 +151,7 @@ DriveResult drive(OnlineSequencer& seq, Scenario& s) {
     now = std::max(now, m.arrival);
     Message copy = m;
     copy.arrival = now;
-    seq.on_message(copy);
+    seq.submit(copy);
     if (++k == s.reprime_at && s.reprime_at != 0) {
       s.registry.announce(
           s.population.ids().front(),
@@ -153,7 +160,7 @@ DriveResult drive(OnlineSequencer& seq, Scenario& s) {
     if (k % 37 == 0) append(seq.poll(now));
   }
   for (ClientId c : s.population.ids()) {
-    seq.on_heartbeat(c, now + 1_s, now + 1_ms);
+    seq.heartbeat(c, now + 1_s, now + 1_ms);
   }
   append(seq.poll(now + 1_s));
   append(seq.flush(now + 2_s));
@@ -189,18 +196,17 @@ TEST(AdversarialEquivalence, BareSequencerAllPatterns) {
        {Pattern::kReverseCorrected, Pattern::kInterleavedBursts,
         Pattern::kMidStreamReprime}) {
     for (const std::uint64_t seed : {5u, 17u}) {
-      // Scenarios are rebuilt per mode: drive() mutates the registry on
-      // the reprime pattern and both modes must see the same sequence.
+      // Scenarios are rebuilt per side: drive() mutates the registry on
+      // the reprime pattern and both sides must see the same sequence.
       Scenario fast_s = make_scenario(pattern, seed, 6, 1200);
       OnlineConfig config;
       config.threshold = 0.75;
       config.p_safe = 0.99;
-      OnlineSequencer fast(fast_s.registry, fast_s.population.ids(), config);
+      SessionDriver fast(fast_s.registry, fast_s.population.ids(), config);
       const DriveResult fast_result = drive(fast, fast_s);
 
       Scenario ref_s = make_scenario(pattern, seed, 6, 1200);
-      config.reference_mode = true;
-      OnlineSequencer ref(ref_s.registry, ref_s.population.ids(), config);
+      OracleSequencer ref(ref_s.registry, ref_s.population.ids(), config);
       const DriveResult ref_result = drive(ref, ref_s);
 
       expect_identical(fast_result, ref_result, to_string(pattern));
@@ -213,10 +219,7 @@ TEST(AdversarialEquivalence, BareSequencerAllPatterns) {
 
 // ── Service engine configs ──────────────────────────────────────────────
 
-struct Tagged {
-  EmissionRecord record;
-  std::uint32_t shard;
-};
+using Tagged = OracleShards::Tagged;
 
 std::vector<Tagged> drive_service(FairOrderingService& service, Scenario& s) {
   std::unordered_map<ClientId, FairOrderingService::Session> sessions;
@@ -247,6 +250,35 @@ std::vector<Tagged> drive_service(FairOrderingService& service, Scenario& s) {
   }
   service.poll(now + 1_s, sink);
   service.flush(now + 2_s, sink);
+  return out;
+}
+
+/// drive_service's schedule against the per-shard oracle. The re-announce
+/// needs no reconfigure: each oracle shard re-sorts at its next call.
+std::vector<Tagged> drive_oracle(OracleShards& oracle, Scenario& s) {
+  std::vector<Tagged> out;
+  auto append = [&out](std::vector<Tagged>&& records) {
+    for (Tagged& t : records) out.push_back(std::move(t));
+  };
+  TimePoint now(0.0);
+  std::size_t k = 0;
+  for (const Message& m : s.messages) {
+    now = std::max(now, m.arrival);
+    Message copy = m;
+    copy.arrival = now;
+    oracle.submit(copy);
+    if (++k == s.reprime_at && s.reprime_at != 0) {
+      s.registry.announce(
+          s.population.ids().front(),
+          std::make_unique<stats::Gaussian>(0.4, 150e-6));
+    }
+    if (k % 37 == 0) append(oracle.poll(now));
+  }
+  for (ClientId c : s.population.ids()) {
+    oracle.heartbeat(c, now + 1_s, now + 1_ms);
+  }
+  append(oracle.poll(now + 1_s));
+  append(oracle.flush(now + 2_s));
   return out;
 }
 
@@ -286,25 +318,28 @@ TEST(AdversarialEquivalence, ServiceConfigsAllPatterns) {
        {Pattern::kReverseCorrected, Pattern::kInterleavedBursts,
         Pattern::kMidStreamReprime}) {
     SCOPED_TRACE(to_string(pattern));
-    auto run = [&](bool reference, DrainPolicy policy) {
+    auto run = [&](bool oracle, DrainPolicy policy) {
       Scenario s = make_scenario(pattern, 29u, 6, 1200);
       ServiceConfig config;
       config.with_p_safe(0.99).with_shards(kShards);
-      config.online.reference_mode = reference;
       config.with_drain_policy(policy);
       FairOrderingService service(s.registry, s.population.ids(), config);
-      return drive_service(service, s);
+      if (!oracle) return drive_service(service, s);
+      // The oracle reads the service only for its partition.
+      OracleShards shards(s.registry, service, s.population.ids(),
+                          config.online, policy);
+      return drive_oracle(shards, s);
     };
 
-    // Sharded: fast vs reference, bit-identical per shard.
+    // Sharded: fast vs oracle, bit-identical per shard.
     const auto seq_fast = run(false, DrainPolicy::kShardLocal);
     const auto seq_ref = run(true, DrainPolicy::kShardLocal);
     EXPECT_FALSE(seq_fast.empty());
     expect_identical_per_shard(seq_fast, seq_ref, kShards,
-                               "sharded fast-vs-reference");
+                               "sharded fast-vs-oracle");
 
-    // Global merge: fast and reference must produce the identical total
-    // stream (delivery order included).
+    // Global merge: the service and the oracle merge must produce the
+    // identical total stream (delivery order included).
     const auto merge_seq = run(false, DrainPolicy::kGlobalMerge);
     const auto merge_ref = run(true, DrainPolicy::kGlobalMerge);
     ASSERT_EQ(merge_seq.size(), merge_ref.size());
@@ -314,6 +349,8 @@ TEST(AdversarialEquivalence, ServiceConfigsAllPatterns) {
       EXPECT_EQ(merge_seq[r].record.batch.rank,
                 merge_ref[r].record.batch.rank);
     }
+    expect_identical_per_shard(merge_seq, merge_ref, kShards,
+                               "merged fast-vs-oracle");
     // And per shard it is the same record set the shard-local drain
     // produced (rank order within a shard can differ across policies —
     // compare rank-aligned).

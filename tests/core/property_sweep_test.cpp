@@ -156,18 +156,21 @@ TEST_P(PropertySweep, OnlineEmitsEachMessageOnceInRankOrder) {
               return a.id < b.id;
             });
 
+  std::map<ClientId, OnlineSequencer::Session> sessions;
+  for (ClientId c : s.population.ids()) {
+    sessions.emplace(c, seq.open_session(c));
+  }
+
   std::vector<EmissionRecord> emissions;
   TimePoint last_arrival = TimePoint::epoch();
   for (const Message& m : arrivals) {
-    seq.on_message(m);
+    sessions.at(m.client).submit(m.stamp, m.id, m.arrival);
     last_arrival = m.arrival;
     for (auto& e : seq.poll(m.arrival)) emissions.push_back(std::move(e));
   }
   // Keep everyone's frontier moving, then drain far in the future.
   const TimePoint end = last_arrival + 10_s;
-  for (ClientId c : s.population.ids()) {
-    seq.on_heartbeat(c, end + 10_s, end);
-  }
+  for (auto& [client, session] : sessions) session.heartbeat(end + 10_s, end);
   for (auto& e : seq.poll(end)) emissions.push_back(std::move(e));
 
   std::set<MessageId> seen;
@@ -192,7 +195,9 @@ TEST_P(PropertySweep, FlushDrainsEverythingWithDenseRanks) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
               return a.id < b.id;
             });
-  for (const Message& m : arrivals) seq.on_message(m);
+  for (const Message& m : arrivals) {
+    seq.open_session(m.client).submit(m.stamp, m.id, m.arrival);
+  }
 
   const auto emissions = seq.flush(arrivals.back().arrival + 1_s);
   std::size_t total = 0;

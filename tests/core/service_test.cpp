@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "oracle_sequencer.hpp"
 #include "sim/offline_runner.hpp"
 #include "sim/population.hpp"
 #include "sim/workload.hpp"
@@ -36,6 +38,28 @@ std::vector<ClientId> ids(std::uint32_t n) {
   std::vector<ClientId> out;
   for (std::uint32_t c = 0; c < n; ++c) out.push_back(ClientId(c));
   return out;
+}
+
+/// The randomized stream the multi-shard tests replay: 12 Gaussian
+/// clients, 600 Poisson messages, in FIFO arrival order.
+struct LiveStream {
+  sim::Population pop;
+  std::vector<sim::ObservedMessage> observed;
+};
+
+LiveStream live_stream() {
+  Rng rng(123);
+  LiveStream stream{sim::gaussian_population(12, 60e-6, rng), {}};
+  const auto events =
+      sim::poisson_workload(stream.pop.ids(), 600, 15_us, rng);
+  stream.observed = sim::materialize_messages(stream.pop, events,
+                                              sim::MaterializeConfig{}, rng);
+  std::stable_sort(stream.observed.begin(), stream.observed.end(),
+                   [](const sim::ObservedMessage& a,
+                      const sim::ObservedMessage& b) {
+                     return a.message.arrival < b.message.arrival;
+                   });
+  return stream;
 }
 
 TEST(KeyRouters, RangeRouterSplitsTheSpanEvenly) {
@@ -150,56 +174,13 @@ TEST(FairOrderingServiceTest, SinkReceivesShardTaggedRankOrderedBatches) {
   EXPECT_EQ(service.pending_count(), 0u);
 }
 
-TEST(FairOrderingServiceTest, RoutedLegacyEntryPointsWork) {
-  // The session-less convenience surface: submit(Message) and
-  // heartbeat(client, ...) route per call and behave like the shard's
-  // own legacy entry points.
-  const ClientRegistry registry = make_registry(4);
-  ServiceConfig config;
-  config.with_shards(2).with_p_safe(0.99);
-  FairOrderingService service(registry, ids(4), config);
-
-  service.submit(Message{MessageId(1), ClientId(0), TimePoint(1.0),
-                         TimePoint(1.001)});
-  service.submit(Message{MessageId(2), ClientId(3), TimePoint(1.05),
-                         TimePoint(1.051)});
-  EXPECT_EQ(service.pending_count(), 2u);
-  EXPECT_EQ(service.shard(0).pending_count(), 1u);
-  EXPECT_EQ(service.shard(1).pending_count(), 1u);
-
-  for (std::uint32_t c = 0; c < 4; ++c) {
-    service.heartbeat(ClientId(c), TimePoint(20.0), TimePoint(1.1));
-  }
-  std::vector<MessageId> order;
-  EXPECT_EQ(service.poll(TimePoint(10.0),
-                         [&](EmissionRecord&& record, std::uint32_t) {
-                           for (const Message& m : record.batch.messages) {
-                             order.push_back(m.id);
-                           }
-                         }),
-            2u);
-  const std::vector<MessageId> expected = {MessageId(1), MessageId(2)};
-  EXPECT_EQ(order, expected);
-  EXPECT_DEATH(service.submit(Message{MessageId(3), ClientId(77),
-                                      TimePoint(2.0), TimePoint(2.0)}),
-               "precondition");
-}
-
 TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   // A sharded service must behave exactly like N bare sequencers, each
   // fed its routed sub-stream: randomized check, per-shard bit-identical
   // emissions.
-  Rng rng(123);
-  const sim::Population pop = sim::gaussian_population(12, 60e-6, rng);
-  const auto events = sim::poisson_workload(pop.ids(), 600, 15_us, rng);
-  auto observed = sim::materialize_messages(pop, events,
-                                            sim::MaterializeConfig{}, rng);
-  std::stable_sort(observed.begin(), observed.end(),
-                   [](const sim::ObservedMessage& a,
-                      const sim::ObservedMessage& b) {
-                     return a.message.arrival < b.message.arrival;
-                   });
-
+  const LiveStream stream = live_stream();
+  const sim::Population& pop = stream.pop;
+  const auto& observed = stream.observed;
   ClientRegistry registry;
   pop.seed_registry(registry);
   constexpr std::uint32_t kShards = 3;
@@ -215,11 +196,11 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   }
   OnlineConfig online;
   online.p_safe = 0.995;
-  std::vector<std::unique_ptr<OnlineSequencer>> twins;
+  std::vector<std::unique_ptr<testing::SessionDriver>> twins;
   for (std::uint32_t s = 0; s < kShards; ++s) {
     ASSERT_FALSE(members[s].empty());
-    twins.push_back(
-        std::make_unique<OnlineSequencer>(registry, members[s], online));
+    twins.push_back(std::make_unique<testing::SessionDriver>(
+        registry, members[s], online));
   }
 
   std::unordered_map<ClientId, FairOrderingService::Session> sessions;
@@ -240,12 +221,12 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
         .submit(om.message.stamp, om.message.id, now);
     Message copy = om.message;
     copy.arrival = now;
-    twins[shard]->on_message(copy);
+    twins[shard]->submit(copy);
     ++k;
     if (k % 11 == 0) {
       for (ClientId c : pop.ids()) {
         sessions.at(c).heartbeat(now, now);
-        twins[service.shard_of(c)]->on_heartbeat(c, now, now);
+        twins[service.shard_of(c)]->heartbeat(c, now, now);
       }
     }
     if (k % 5 == 0) {
@@ -259,7 +240,7 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   }
   for (ClientId c : pop.ids()) {
     sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
-    twins[service.shard_of(c)]->on_heartbeat(c, now + 1_s, now + 1_ms);
+    twins[service.shard_of(c)]->heartbeat(c, now + 1_s, now + 1_ms);
   }
   service.poll(now + 1_s, sink);
   service.flush(now + 2_s, sink);
@@ -291,6 +272,76 @@ TEST(FairOrderingServiceTest, MultiShardMatchesIndependentBareSequencers) {
   }
   EXPECT_EQ(total, observed.size());
   EXPECT_EQ(service.pending_count(), 0u);
+}
+
+TEST(FairOrderingServiceTest, GlobalMergeMatchesTheOracleMerge) {
+  // kGlobalMerge against one oracle per shard and the oracle's own
+  // (safe_time, shard, rank) release heap, under live traffic: heartbeats
+  // and polls interleave with ingest, so the release gate — not the final
+  // flush — decides what leaves when. Delivery order must match exactly.
+  const LiveStream stream = live_stream();
+  const sim::Population& pop = stream.pop;
+  const auto& observed = stream.observed;
+  ClientRegistry registry;
+  pop.seed_registry(registry);
+  ServiceConfig config;
+  config.with_shards(3).with_p_safe(0.995).with_drain_policy(
+      DrainPolicy::kGlobalMerge);
+  FairOrderingService service(registry, pop.ids(), config);
+  testing::OracleShards oracle(registry, service, pop.ids(), config.online,
+                               DrainPolicy::kGlobalMerge);
+
+  using Delivery = std::tuple<std::uint32_t, Rank, std::vector<MessageId>>;
+  auto delivery = [](const EmissionRecord& record, std::uint32_t shard) {
+    std::vector<MessageId> ids;
+    for (const Message& m : record.batch.messages) ids.push_back(m.id);
+    return Delivery{shard, record.batch.rank, std::move(ids)};
+  };
+  std::vector<Delivery> got;
+  std::vector<Delivery> want;
+  auto sink = [&](EmissionRecord&& record, std::uint32_t shard) {
+    got.push_back(delivery(record, shard));
+  };
+  auto take = [&](std::vector<testing::OracleShards::Tagged>&& records) {
+    for (const auto& t : records) want.push_back(delivery(t.record, t.shard));
+  };
+
+  std::unordered_map<ClientId, FairOrderingService::Session> sessions;
+  for (ClientId c : pop.ids()) sessions.emplace(c, service.open_session(c));
+  std::size_t max_held = 0;
+  TimePoint now(0.0);
+  std::size_t k = 0;
+  for (const auto& om : observed) {
+    now = std::max(now, om.message.arrival);
+    sessions.at(om.message.client)
+        .submit(om.message.stamp, om.message.id, now);
+    Message copy = om.message;
+    copy.arrival = now;
+    oracle.submit(copy);
+    if (++k % 11 == 0) {
+      for (ClientId c : pop.ids()) {
+        sessions.at(c).heartbeat(now, now);
+        oracle.heartbeat(c, now, now);
+      }
+    }
+    if (k % 5 == 0) {
+      service.poll(now, sink);
+      take(oracle.poll(now));
+      max_held = std::max(max_held, service.held_back_count());
+    }
+  }
+  for (ClientId c : pop.ids()) {
+    sessions.at(c).heartbeat(now + 1_s, now + 1_ms);
+    oracle.heartbeat(c, now + 1_s, now + 1_ms);
+  }
+  service.poll(now + 1_s, sink);
+  take(oracle.poll(now + 1_s));
+  service.flush(now + 2_s, sink);
+  take(oracle.flush(now + 2_s));
+
+  EXPECT_GT(max_held, 0u);  // the gate actually withheld records
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(got, want);
 }
 
 TEST(FairOrderingServiceTest, FlushInterleavesWithLiveSessions) {
@@ -417,27 +468,20 @@ TEST(FairOrderingServiceTest, SessionRefreshesAfterReannounce) {
 }
 
 TEST(FairOrderingServiceTest, OutOfOrderArrivalDies) {
-  // The ingest contract (FIFO delivery: arrival stamps non-decreasing) is
-  // a checked precondition on every surface.
+  // The ingest contract (FIFO delivery: arrival stamps non-decreasing
+  // across every session of a sequencer) is a checked precondition.
   const ClientRegistry registry = make_registry(2);
   OnlineConfig config;
   config.p_safe = 0.99;
 
-  {
-    OnlineSequencer seq(registry, ids(2), config);
-    auto session = seq.open_session(ClientId(0));
-    session.submit(TimePoint(1.0), MessageId(1), TimePoint(2.0));
-    EXPECT_DEATH(session.submit(TimePoint(1.1), MessageId(2), TimePoint(1.0)),
-                 "precondition");
-  }
-  {
-    OnlineSequencer seq(registry, ids(2), config);
-    seq.on_message(Message{MessageId(1), ClientId(0), TimePoint(1.0),
-                           TimePoint(2.0)});
-    EXPECT_DEATH(seq.on_message(Message{MessageId(2), ClientId(1),
-                                        TimePoint(1.1), TimePoint(1.0)}),
-                 "precondition");
-  }
+  OnlineSequencer seq(registry, ids(2), config);
+  auto session = seq.open_session(ClientId(0));
+  auto other = seq.open_session(ClientId(1));
+  session.submit(TimePoint(1.0), MessageId(1), TimePoint(2.0));
+  EXPECT_DEATH(session.submit(TimePoint(1.1), MessageId(2), TimePoint(1.0)),
+               "precondition");
+  EXPECT_DEATH(other.submit(TimePoint(1.1), MessageId(2), TimePoint(1.0)),
+               "precondition");
 }
 
 TEST(FairOrderingServiceTest, ServiceConfigBuilderComposes) {
@@ -483,7 +527,7 @@ TEST(FairOrderingServiceTest, CustomSinkClassTakesTheSinkOverload) {
   auto session = service.open_session(ClientId(0));
   session.submit(TimePoint(1.0), MessageId(1), TimePoint(1.001));
   session.heartbeat(TimePoint(20.0), TimePoint(1.1));
-  service.heartbeat(ClientId(1), TimePoint(20.0), TimePoint(1.1));
+  service.open_session(ClientId(1)).heartbeat(TimePoint(20.0), TimePoint(1.1));
 
   CountingSink sink;
   EXPECT_EQ(service.poll(TimePoint(10.0), sink), 1u);
@@ -578,41 +622,61 @@ TEST(FairOrderingServiceTest, AnnounceRefreshesEveryShardSharingTheEngine) {
   // A re-announce moves a client on shard 1, but shard 0 is the first to
   // touch the shared engine afterwards and re-primes it. Shard 1 must
   // still re-key its buffered entries before the install, exactly as the
-  // reference path re-sorts per shard.
-  auto run = [](bool reference) {
+  // per-shard oracle re-sorts.
+  std::vector<Message> stream;  // clients 2 and 3 live on shard 1
+  double now = 1.0;
+  std::uint64_t id = 0;
+  for (int k = 0; k < 20; ++k) {
+    now += 1e-4;
+    stream.push_back(Message{MessageId(id++), ClientId(2 + k % 2),
+                             TimePoint(now), TimePoint(now + 1e-3)});
+  }
+  const std::size_t announce_at = stream.size();
+  stream.push_back(Message{MessageId(id++), ClientId(0), TimePoint(now),
+                           TimePoint(now + 1e-3)});  // shard 0 re-primes first
+  for (int k = 0; k < 6; ++k) {
+    now += 1e-4;
+    stream.push_back(Message{MessageId(id++), ClientId(2 + k % 2),
+                             TimePoint(now), TimePoint(now + 1.1e-3)});
+  }
+
+  auto run = [&](bool oracle) {
     ClientRegistry registry = make_registry(4, 1e-4);
     ServiceConfig config;
     config.with_shards(2).with_p_safe(0.99);
-    config.online.reference_mode = reference;
     FairOrderingService service(registry, ids(4), config);
+    testing::OracleShards shards(registry, service, ids(4), config.online,
+                                 DrainPolicy::kShardLocal);
     std::vector<FairOrderingService::Session> sessions;
     for (std::uint32_t c = 0; c < 4; ++c) {
       sessions.push_back(service.open_session(ClientId(c)));
     }
-    double now = 1.0;
-    std::uint64_t id = 0;
-    for (int k = 0; k < 20; ++k) {  // clients 2 and 3 live on shard 1
-      now += 1e-4;
-      sessions[2 + k % 2].submit(TimePoint(now), MessageId(id++),
-                                 TimePoint(now + 1e-3));
-    }
-    // Client 3's clock turns out to run 5 ms ahead of client 2's.
-    registry.announce(ClientId(3),
-                      std::make_unique<stats::Gaussian>(5e-3, 1e-4));
-    sessions[0].submit(TimePoint(now), MessageId(id++),
-                       TimePoint(now + 1e-3));  // shard 0 re-primes first
-    for (int k = 0; k < 6; ++k) {
-      now += 1e-4;
-      sessions[2 + k % 2].submit(TimePoint(now), MessageId(id++),
-                                 TimePoint(now + 1.1e-3));
+    for (std::size_t k = 0; k < stream.size(); ++k) {
+      if (k == announce_at) {
+        // Client 3's clock turns out to run 5 ms ahead of client 2's.
+        registry.announce(ClientId(3),
+                          std::make_unique<stats::Gaussian>(5e-3, 1e-4));
+      }
+      const Message& m = stream[k];
+      if (oracle) {
+        shards.submit(m);
+      } else {
+        sessions[m.client.value()].submit(m.stamp, m.id, m.arrival);
+      }
     }
     std::vector<std::pair<std::uint32_t, std::vector<MessageId>>> out;
-    service.flush(TimePoint(10.0), [&out](EmissionRecord&& record,
-                                          std::uint32_t shard) {
+    auto collect = [&out](EmissionRecord&& record, std::uint32_t shard) {
       std::vector<MessageId> batch;
       for (const Message& m : record.batch.messages) batch.push_back(m.id);
       out.emplace_back(shard, std::move(batch));
-    });
+    };
+    if (oracle) {
+      for (auto& tagged : shards.flush(TimePoint(10.0))) {
+        collect(std::move(tagged.record), tagged.shard);
+      }
+    } else {
+      service.flush(TimePoint(10.0), collect);
+    }
     return out;
   };
   const auto fast = run(false);

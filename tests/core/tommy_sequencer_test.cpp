@@ -238,46 +238,36 @@ TEST(TommyConfigDeathTest, RejectsBadThreshold) {
   EXPECT_DEATH(TommySequencer(registry, config), "precondition");
 }
 
-// ── Primed-threshold equivalence ────────────────────────────────────────
-// The default batching path answers "p(a, b) > threshold" from the
-// engine's primed critical-gap tables (one subtraction per pair);
-// reference_thresholds retains the raw per-pair probability evaluation.
-// Both must cut bit-identical batches on every ordering path.
+// ── Primed-threshold predicate ──────────────────────────────────────────
+// Batch boundaries answer "p(a, b) > threshold" from the engine's primed
+// critical-gap tables (one subtraction per pair). Batch cuts are a
+// function of that predicate alone, so checking it against the raw
+// probability over every ordered pair of a message set pins the cuts to
+// what per-pair evaluation would produce, on every ordering path.
 
-void expect_same_batches(const SequencerResult& primed,
-                         const SequencerResult& reference,
-                         const char* label) {
+void expect_primed_predicate_matches_probability(
+    const ClientRegistry& registry, TommyConfig config,
+    const std::vector<Message>& messages, const char* label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(primed.batches.size(), reference.batches.size());
-  for (std::size_t b = 0; b < primed.batches.size(); ++b) {
-    SCOPED_TRACE("batch " + std::to_string(b));
-    EXPECT_EQ(primed.batches[b].rank, reference.batches[b].rank);
-    ASSERT_EQ(primed.batches[b].messages.size(),
-              reference.batches[b].messages.size());
-    for (std::size_t m = 0; m < primed.batches[b].messages.size(); ++m) {
-      EXPECT_EQ(primed.batches[b].messages[m],
-                reference.batches[b].messages[m]);
+  TommySequencer seq(registry, config);
+  (void)seq.sequence(messages);  // primes the engine for the threshold
+  const PrecedingEngine& engine = seq.engine();
+  for (const Message& a : messages) {
+    const std::uint32_t ci = registry.index_of(a.client);
+    for (const Message& b : messages) {
+      if (a.id == b.id) continue;
+      const std::uint32_t cj = registry.index_of(b.client);
+      const bool primed = engine.fast_confidently_preceding(
+          ci, engine.fast_corrected(ci, a.stamp), cj,
+          engine.fast_corrected(cj, b.stamp));
+      EXPECT_EQ(primed,
+                engine.preceding_probability(a, b) > config.threshold)
+          << "pair (" << a.id.value() << ", " << b.id.value() << ")";
     }
   }
 }
 
-void run_primed_equivalence(const ClientRegistry& registry,
-                            TommyConfig config,
-                            const std::vector<Message>& messages,
-                            const char* label) {
-  TommyConfig primed_config = config;
-  primed_config.reference_thresholds = false;
-  TommySequencer primed(registry, primed_config);
-
-  TommyConfig reference_config = config;
-  reference_config.reference_thresholds = true;
-  TommySequencer reference(registry, reference_config);
-
-  expect_same_batches(primed.sequence(messages), reference.sequence(messages),
-                      label);
-}
-
-TEST_F(TommyGaussian, PrimedThresholdsMatchReferenceOnGaussianPaths) {
+TEST_F(TommyGaussian, PrimedPredicateMatchesProbabilityOnEveryPair) {
   Rng rng(91);
   for (int trial = 0; trial < 8; ++trial) {
     std::vector<Message> messages;
@@ -285,31 +275,25 @@ TEST_F(TommyGaussian, PrimedThresholdsMatchReferenceOnGaussianPaths) {
       messages.push_back(msg(id, static_cast<std::uint32_t>(id % 3),
                              rng.uniform(0.0, 0.03)));
     }
-    for (BatchRule rule : {BatchRule::kAdjacent, BatchRule::kClosure}) {
-      TommyConfig config;
-      config.batch_rule = rule;
-      run_primed_equivalence(registry_, config, messages, "gaussian-fast");
-      config.gaussian_fast_path = false;  // tournament over the same input
-      run_primed_equivalence(registry_, config, messages,
-                             "gaussian-tournament");
-    }
+    expect_primed_predicate_matches_probability(registry_, TommyConfig{},
+                                                messages, "gaussian");
   }
 }
 
-TEST_F(TommyCyclic, PrimedThresholdsMatchReferenceOnNumericPaths) {
+TEST_F(TommyCyclic, PrimedPredicateMatchesProbabilityOnNumericPaths) {
   Rng rng(17);
   for (CyclePolicy policy : {CyclePolicy::kCondense, CyclePolicy::kGreedyFas,
                              CyclePolicy::kExactFas}) {
     config_.cycle_policy = policy;
-    // The pure 3-cycle plus randomized surrounding traffic: exercises
-    // batch_groups (condense) and the post-FAS batching on the numeric
-    // critical-gap path.
+    // The pure 3-cycle plus randomized surrounding traffic: numeric
+    // critical gaps, lazily filled, across condensed and FAS orderings.
     auto messages = cycle_messages();
     for (std::uint64_t id = 10; id < 22; ++id) {
       messages.push_back(msg(id, static_cast<std::uint32_t>(id % 3),
                              rng.uniform(-8.0, 8.0)));
     }
-    run_primed_equivalence(registry_, config_, messages, "numeric-cyclic");
+    expect_primed_predicate_matches_probability(registry_, config_, messages,
+                                                "numeric-cyclic");
   }
 }
 

@@ -283,5 +283,45 @@ TEST(Codec, BatchCountMismatchRejected) {
   EXPECT_FALSE(decode(bytes).has_value());
 }
 
+// A length field is peer-controlled: a decoder must check it against the
+// bytes actually present before sizing anything by it. Each frame below
+// is a few dozen bytes claiming 2^32 − 1 entries; trusting the count
+// would ask the allocator for tens of gigabytes (std::bad_alloc, which
+// nothing on the server path catches) or, for a smaller lie, zero-fill
+// gigabytes before noticing the frame is short.
+void claim_max_count(std::vector<std::uint8_t>& bytes, std::size_t offset) {
+  ASSERT_LE(offset + 4, bytes.size());
+  for (std::size_t i = 0; i < 4; ++i) bytes[offset + i] = 0xFF;
+}
+
+TEST(Codec, BatchEmissionCountBeyondFrameRejected) {
+  auto bytes = encode(BatchEmission{4, {}});
+  ASSERT_EQ(bytes.size(), 13u);
+  claim_max_count(bytes, 9);  // after tag(1) + rank(8)
+  EXPECT_FALSE(decode(bytes).has_value());
+}
+
+TEST(Codec, OrderedBatchCountBeyondFrameRejected) {
+  auto bytes = encode(
+      OrderedBatch{1, 2, 3, TimePoint(4.0), TimePoint(5.0), {}});
+  ASSERT_EQ(bytes.size(), 41u);
+  claim_max_count(bytes, 37);  // after the 37-byte fixed header
+  EXPECT_FALSE(decode(bytes).has_value());
+}
+
+TEST(Codec, HistogramBinCountBeyondFrameRejected) {
+  // A one-bin histogram announcement with its bin cut off: tag(1) +
+  // client(4) + payload length(4), then the payload's tag(1) + lo(8) +
+  // hi(8) + bin count(4) — 30 bytes, the count claiming 2^32 − 1 bins.
+  auto bytes = encode(DistributionAnnouncement{
+      ClientId(1), stats::DistributionSummary(
+                       stats::HistogramParams{-1e-3, 1e-3, {1.0}})});
+  bytes.resize(bytes.size() - 8);
+  ASSERT_EQ(bytes.size(), 30u);
+  bytes[5] = 21;  // payload length now excludes the dropped bin
+  claim_max_count(bytes, 26);
+  EXPECT_FALSE(decode(bytes).has_value());
+}
+
 }  // namespace
 }  // namespace tommy::net
